@@ -1,12 +1,15 @@
 // Ablation: the zero-copy tensor data path (pooled buffers + payload views).
-// A large tensor is pushed through each wire protocol twice — once with the
-// classic inline payload (tensor bytes serialized into the envelope string)
-// and once with the view payload (tensor bytes ride as a buffer reference,
-// wire/payload.h) — and the transport's measured staging traffic is reported
-// per step. RDMA forwards the buffer reference (0 payload copies), MPI
-// stages the view exactly once, and gRPC flattens back to its full
-// 2-serialize + wire-copy path, preserving Fig. 7's ordering.
+// A large tensor is pushed through each wire protocol twice — once as an
+// inline payload (the VarWrite frame Detach()ed, so the tensor bytes sit in
+// the envelope string) and once as the view payload the client sends (the
+// tensor bytes ride as a buffer reference, wire/payload.h) — and the
+// transport's measured staging traffic is reported per step. RDMA forwards
+// the buffer reference (0 payload copies), MPI stages the view exactly once
+// (inline: twice), and gRPC flattens back to its full 2-serialize +
+// wire-copy path, preserving Fig. 7's ordering. `--smoke` pushes 4 MB
+// instead of 64 MB and asserts the same copy counts.
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "bench_util.h"
@@ -24,14 +27,18 @@ struct Row {
   double serialized_mb_per_step = 0;
   double forwarded_mb_per_step = 0;
   double views_per_step = 0;
+  int64_t copied_bytes_per_step = 0;
 };
 
 constexpr double kMb = 1024.0 * 1024.0;
 
 }  // namespace
 
-int main() {
-  bench::Header("Ablation — zero-copy payload views (64 MB tensor, VarWrite)",
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const int64_t n = smoke ? (1 << 20) : (16 << 20);  // f32: 4 MB or 64 MB
+  bench::Header("Ablation — zero-copy payload views (" +
+                    std::to_string(n * 4 >> 20) + " MB tensor, VarWrite)",
                 "DESIGN.md §9 (paper §VI-A: copy + serialization costs "
                 "separate the protocols)");
 
@@ -44,7 +51,6 @@ int main() {
   distrib::InProcessRouter router;
   auto server = distrib::Server::Create({spec, "zc", 0, 0}, &router).value();
 
-  const int64_t n = 16 << 20;  // 16M f32 = 64 MB
   const int rounds = 4;
   Tensor payload(DType::kF32, Shape{n});
   float* data = payload.mutable_data<float>();
@@ -60,16 +66,17 @@ int main() {
                           {"RDMA", distrib::WireProtocol::kRdma}};
 
   std::vector<Row> rows;
+  int64_t frame_bytes = 0;
   for (const Proto& p : protos) {
     for (const bool view : {false, true}) {
       router.ResetStats();
       for (int r = 0; r < rounds; ++r) {
         wire::RpcEnvelope req;
         req.method = "VarWrite";
-        req.payload =
-            view ? distrib::EncodeVarPayloadView("v", &payload, false, false)
-                 : wire::PayloadRef(
-                       distrib::EncodeVarPayload("v", &payload, false, false));
+        req.payload = distrib::EncodeVarPayload("v", &payload, false, false);
+        TFHPC_CHECK(req.payload.is_view()) << "VarWrite frame is not a view";
+        if (!view) req.payload.Detach();
+        frame_bytes = static_cast<int64_t>(req.payload.size());
         req.checksum = wire::PayloadChecksum(req.payload);
         auto resp = router.Call("zc:0", p.proto, req);
         TFHPC_CHECK(resp.ok()) << resp.status().ToString();
@@ -87,6 +94,7 @@ int main() {
           static_cast<double>(st.bytes_forwarded.load()) / rounds / kMb;
       row.views_per_step =
           static_cast<double>(st.views_forwarded.load()) / rounds;
+      row.copied_bytes_per_step = st.bytes_copied.load() / rounds;
       rows.push_back(row);
     }
   }
@@ -118,8 +126,28 @@ int main() {
   TFHPC_CHECK(rdma_inline >= 2 * rdma_view + payload_mb / 2)
       << "view payloads should at least halve RDMA staging copies";
 
+  // Exact staging copies of the whole VarWrite frame, per step.
+  auto copied = [&rows](const std::string& protocol, const std::string& mode) {
+    for (const Row& r : rows) {
+      if (r.protocol == protocol && r.mode == mode) {
+        return r.copied_bytes_per_step;
+      }
+    }
+    return int64_t{-1};
+  };
+  TFHPC_CHECK(copied("MPI", "inline") == 2 * frame_bytes)
+      << "MPI inline should stage the frame twice";
+  TFHPC_CHECK(copied("MPI", "view") == frame_bytes)
+      << "MPI view should stage the frame once";
+  TFHPC_CHECK(copied("RDMA", "view") == 0)
+      << "RDMA view should copy no payload bytes";
+  std::printf("copies per step (frame = %lld B): MPI inline 2x, MPI view 1x, "
+              "RDMA view 0 — as asserted\n",
+              static_cast<long long>(frame_bytes));
+
   bench::JsonResults json("zerocopy");
-  json.Meta("payload_mb", payload_mb)
+  json.Meta("mode", smoke ? "smoke" : "full")
+      .Meta("payload_mb", payload_mb)
       .Meta("rounds", static_cast<double>(rounds))
       .Meta("rdma_copy_reduction_x", reduction);
   for (const Row& r : rows) {

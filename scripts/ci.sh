@@ -15,8 +15,9 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
-echo "==== tier 1: configure + build + ctest ===="
-cmake -B "$repo/build" -S "$repo" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
+echo "==== tier 1: configure + build (warnings are errors) + ctest ===="
+cmake -B "$repo/build" -S "$repo" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+  -DTFHPC_WERROR=ON >/dev/null
 cmake --build "$repo/build" -j "$jobs"
 (cd "$repo/build" && ctest --output-on-failure -j "$jobs")
 
@@ -97,6 +98,14 @@ echo "==== gemm ablation: packed kernel matches naive reference ===="
 echo "==== memplan ablation smoke ===="
 (cd "$repo/build" && ./bench/ablation_memplan --smoke)
 echo "==== memplan ablation: bit-identical, bounds sound, allocs reduced ===="
+
+# Zero-copy ablation smoke: a 4 MB VarWrite over every protocol, as an
+# inline payload and as a view. The binary asserts the exact staging copies
+# of the frame per step (MPI inline 2x, MPI view 1x, RDMA view 0) and writes
+# BENCH_zerocopy.json.
+echo "==== zero-copy ablation smoke ===="
+(cd "$repo/build" && ./bench/ablation_zerocopy --smoke)
+echo "==== zero-copy ablation: copy counts hold ===="
 
 if [[ "$fast" == 1 ]]; then
   echo "==== ci: tier 1 OK (sanitizer smoke skipped) ===="

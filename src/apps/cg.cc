@@ -251,7 +251,8 @@ Result<CgResult> RunCgFunctional(const CgOptions& options, uint64_t seed,
                                  rm.LookupOrCreateQueue(ApOut(w)));
           TFHPC_RETURN_IF_ERROR(out->Enqueue(full));
         }
-        // Two scalar reductions: p.Ap then rsnew.
+        // Two scalar reductions: p.Ap then rsnew. The workers stop without
+        // the second when p.Ap is zero (see below), so the reducer does too.
         for (int round = 0; round < 2; ++round) {
           double sum = 0;
           for (int w = 0; w < W; ++w) {
@@ -265,9 +266,10 @@ Result<CgResult> RunCgFunctional(const CgOptions& options, uint64_t seed,
                                    rm.LookupOrCreateQueue(DotOut(w)));
             TFHPC_RETURN_IF_ERROR(out->Enqueue(Tensor::Scalar(sum)));
           }
+          if (round == 0 && sum == 0) return Status::OK();
           if (round == 1) rsnew = sum;
         }
-        if (rsnew < tol) break;
+        if (rsnew < tol || rsnew == 0) break;
         if (interrupt_after > 0 && it + 1 - start_iter >= interrupt_after) break;
       }
       return Status::OK();
@@ -328,6 +330,9 @@ Result<CgResult> RunCgFunctional(const CgOptions& options, uint64_t seed,
           TFHPC_RETURN_IF_ERROR(ps.Enqueue(DotIn(w), pap_part[0]));
           TFHPC_ASSIGN_OR_RETURN(Tensor pap_t, ps.Dequeue(DotOut(w)));
           const double pap = pap_t.scalar<double>();
+          // p.Ap == 0 means p == 0 (A is SPD): the solve has converged
+          // exactly and alpha would be 0/0.
+          if (pap == 0) break;
           const double alpha = rsold / pap;
 
           // (3) x += alpha p;  r -= alpha Ap (both graph-side AXPYs).
@@ -374,7 +379,7 @@ Result<CgResult> RunCgFunctional(const CgOptions& options, uint64_t seed,
             TFHPC_RETURN_IF_ERROR(SaveState(options.checkpoint_path, cs));
           }
 
-          if (rsnew < tol) {
+          if (rsnew < tol || rsnew == 0) {
             ++it;
             break;
           }
@@ -413,6 +418,11 @@ Result<CgResult> RunCgFunctional(const CgOptions& options, uint64_t seed,
   // Persist the final checkpoint when interrupted so a rerun resumes.
   if (interrupt_after > 0 && !options.checkpoint_path.empty()) {
     TFHPC_RETURN_IF_ERROR(SaveState(options.checkpoint_path, fin));
+  }
+
+  if (!std::isfinite(fin.rsold)) {
+    return Internal("cg: residual is not finite after " +
+                    std::to_string(fin.iteration) + " iterations");
   }
 
   CgResult result;

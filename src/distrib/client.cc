@@ -77,7 +77,7 @@ Result<wire::PayloadRef> RemoteTask::Call(const std::string& method,
   if (!st.ok()) {
     return Status(st.code(), addr_ + "/" + method + ": " + st.message());
   }
-  return std::move(out);
+  return out;
 }
 
 Status RemoteTask::Ping() {
@@ -89,7 +89,7 @@ Status RemoteTask::Ping() {
 
 Status RemoteTask::Enqueue(const std::string& queue, const Tensor& tensor,
                            int64_t capacity, CancellationToken* token) {
-  auto r = Call("Enqueue", EncodeQueuePayloadView(queue, &tensor, capacity),
+  auto r = Call("Enqueue", EncodeQueuePayload(queue, &tensor, capacity),
                 token);
   return r.ok() ? Status::OK() : r.status();
 }
@@ -99,7 +99,7 @@ Result<Tensor> RemoteTask::Dequeue(const std::string& queue, int64_t capacity,
   TFHPC_ASSIGN_OR_RETURN(
       wire::PayloadRef payload,
       Call("Dequeue", EncodeQueuePayload(queue, nullptr, capacity), token));
-  TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ParseTensorView(payload));
+  TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ParseTensor(payload));
   // In-process zero-copy transports hand back the server's buffer: release
   // the payload's reference so a sole-owner tensor detaches in place, then
   // sever any server-device allocator attribution before the tensor escapes
@@ -116,15 +116,15 @@ Status RemoteTask::CloseQueue(const std::string& queue) {
 
 Status RemoteTask::VarAssign(const std::string& var, const Tensor& tensor) {
   auto r = Call("VarWrite",
-                EncodeVarPayloadView(var, &tensor, /*accumulate=*/false,
-                                     /*want_value=*/false));
+                EncodeVarPayload(var, &tensor, /*accumulate=*/false,
+                                 /*want_value=*/false));
   return r.ok() ? Status::OK() : r.status();
 }
 
 Status RemoteTask::VarAssignAdd(const std::string& var, const Tensor& tensor) {
   auto r = Call("VarWrite",
-                EncodeVarPayloadView(var, &tensor, /*accumulate=*/true,
-                                     /*want_value=*/false));
+                EncodeVarPayload(var, &tensor, /*accumulate=*/true,
+                                 /*want_value=*/false));
   return r.ok() ? Status::OK() : r.status();
 }
 
@@ -132,7 +132,7 @@ Result<Tensor> RemoteTask::VarRead(const std::string& var) {
   TFHPC_ASSIGN_OR_RETURN(
       wire::PayloadRef payload,
       Call("VarRead", EncodeVarPayload(var, nullptr, false, false)));
-  TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ParseTensorView(payload));
+  TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ParseTensor(payload));
   // The view may alias the live server-side variable: detach (copying if
   // still shared) so the result neither aliases mutable server state nor
   // keeps a pointer into the server device's allocator accounting.
@@ -154,7 +154,7 @@ Status RemoteTask::VarRestore(const std::map<std::string, Tensor>& vars) {
 
 Status RemoteTask::RendezvousSend(const std::string& key,
                                   const Tensor& tensor) {
-  auto r = Call("RendezvousSend", EncodeQueuePayloadView(key, &tensor, 0));
+  auto r = Call("RendezvousSend", EncodeQueuePayload(key, &tensor, 0));
   return r.ok() ? Status::OK() : r.status();
 }
 

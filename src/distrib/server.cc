@@ -74,11 +74,7 @@ std::string RunStepRequest::Serialize() const {
   std::string out;
   wire::CodedOutput co(&out);
   for (const auto& [name, tensor] : feeds) {
-    std::string entry;
-    wire::CodedOutput eo(&entry);
-    eo.WriteString(1, name);
-    eo.WriteMessage(2, wire::SerializeTensor(tensor));
-    co.WriteMessage(1, entry);
+    wire::WriteNamedTensor(co, 1, name, tensor);
   }
   for (const auto& f : fetches) co.WriteString(2, f);
   for (const auto& t : targets) co.WriteString(3, t);
@@ -96,27 +92,9 @@ Result<RunStepRequest> RunStepRequest::Parse(const std::string& payload) {
     TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
     switch (field) {
       case 1: {
-        const uint8_t* d;
-        size_t s;
-        TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-        wire::CodedInput ein(d, s);
         std::string name;
         Tensor tensor;
-        while (!ein.AtEnd()) {
-          uint32_t ef;
-          wire::WireType ewt;
-          TFHPC_RETURN_IF_ERROR(ein.ReadTag(&ef, &ewt));
-          if (ef == 1) {
-            TFHPC_RETURN_IF_ERROR(ein.ReadString(&name));
-          } else if (ef == 2) {
-            const uint8_t* td;
-            size_t ts;
-            TFHPC_RETURN_IF_ERROR(ein.ReadBytesView(&td, &ts));
-            TFHPC_ASSIGN_OR_RETURN(tensor, wire::ParseTensor(td, ts));
-          } else {
-            TFHPC_RETURN_IF_ERROR(ein.SkipField(ewt));
-          }
-        }
+        TFHPC_RETURN_IF_ERROR(wire::ReadNamedTensor(in, &name, &tensor));
         req.feeds.emplace(std::move(name), std::move(tensor));
         break;
       }
@@ -149,102 +127,33 @@ Result<RunStepRequest> RunStepRequest::Parse(const std::string& payload) {
   return req;
 }
 
-std::string EncodeQueuePayload(const std::string& queue, const Tensor* tensor,
-                               int64_t capacity) {
-  std::string out;
-  wire::CodedOutput co(&out);
-  co.WriteString(1, queue);
-  if (tensor != nullptr) co.WriteMessage(2, wire::SerializeTensor(*tensor));
-  if (capacity > 0) co.WriteUInt64(3, static_cast<uint64_t>(capacity));
-  return out;
-}
-
-Status DecodeQueuePayload(const std::string& payload, std::string* queue,
-                          Tensor* tensor, int64_t* capacity) {
-  wire::CodedInput in(payload);
-  *capacity = 0;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    if (field == 1) {
-      TFHPC_RETURN_IF_ERROR(in.ReadString(queue));
-    } else if (field == 2 && tensor != nullptr) {
-      const uint8_t* d;
-      size_t s;
-      TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-      TFHPC_ASSIGN_OR_RETURN(*tensor, wire::ParseTensor(d, s));
-    } else if (field == 3) {
-      uint64_t v;
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-      *capacity = static_cast<int64_t>(v);
-    } else {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (queue->empty()) return InvalidArgument("queue payload without name");
-  return Status::OK();
-}
-
 namespace {
 
-// Appends a length-delimited tensor message whose content bytes ride as a
-// buffer view: the tag + total length + tensor header go into `head`, the
-// content (if any) stays in the tensor's buffer. The tensor message must be
-// the FINAL field of the frame so the decoder can splice head-remainder +
-// view back together.
-wire::PayloadRef FinishWithTensorView(std::string head, uint32_t field,
-                                      const Tensor& tensor) {
-  wire::PayloadRef tp = wire::SerializeTensorView(tensor);
-  wire::CodedOutput co(&head);
-  co.WriteTag(field, wire::WireType::kLengthDelimited);
-  co.WriteVarint(tp.size());
-  head.append(tp.head());
-  if (!tp.is_view()) return wire::PayloadRef(std::move(head));
-  return wire::PayloadRef::View(std::move(head), tp.buffer(),
-                                tp.view_offset(), tp.view_size());
-}
-
-// Inverse of FinishWithTensorView at the decoder: `in` is positioned just
-// after the tensor field's length varint (`len`); the tensor message is the
-// rest of the head plus the whole view.
-Status ParseTrailingTensorView(const wire::PayloadRef& payload,
-                               wire::CodedInput& in, uint64_t len,
-                               Tensor* tensor) {
+// The tensor argument of a queue/var frame. A method that takes no tensor
+// (`tensor` null) refuses one, inline or view alike.
+Status ReadTensorArg(wire::CodedInput& in, wire::WireType wt,
+                     const wire::PayloadRef& payload, Tensor* tensor) {
   if (tensor == nullptr) {
     return InvalidArgument("unexpected tensor in payload");
   }
-  if (len != in.remaining() + payload.view_size()) {
-    return InvalidArgument("payload: tensor view must terminate the frame");
-  }
-  std::string sub_head =
-      payload.head().substr(payload.head().size() - in.remaining());
-  wire::PayloadRef sub =
-      wire::PayloadRef::View(std::move(sub_head), payload.buffer(),
-                             payload.view_offset(), payload.view_size());
-  TFHPC_ASSIGN_OR_RETURN(*tensor, wire::ParseTensorView(sub));
+  TFHPC_ASSIGN_OR_RETURN(*tensor, wire::ReadTensorField(in, wt, &payload));
   return Status::OK();
 }
 
 }  // namespace
 
-wire::PayloadRef EncodeQueuePayloadView(const std::string& queue,
-                                        const Tensor* tensor,
-                                        int64_t capacity) {
+wire::PayloadRef EncodeQueuePayload(const std::string& queue,
+                                    const Tensor* tensor, int64_t capacity) {
   std::string head;
   wire::CodedOutput co(&head);
   co.WriteString(1, queue);
   if (capacity > 0) co.WriteUInt64(3, static_cast<uint64_t>(capacity));
   if (tensor == nullptr) return wire::PayloadRef(std::move(head));
-  return FinishWithTensorView(std::move(head), 2, *tensor);
+  return wire::AppendTensorField(std::move(head), 2, *tensor);
 }
 
-Status DecodeQueuePayloadView(const wire::PayloadRef& payload,
-                              std::string* queue, Tensor* tensor,
-                              int64_t* capacity) {
-  if (!payload.is_view()) {
-    return DecodeQueuePayload(payload.head(), queue, tensor, capacity);
-  }
+Status DecodeQueuePayload(const wire::PayloadRef& payload, std::string* queue,
+                          Tensor* tensor, int64_t* capacity) {
   wire::CodedInput in(payload.head());
   *capacity = 0;
   while (!in.AtEnd()) {
@@ -253,15 +162,12 @@ Status DecodeQueuePayloadView(const wire::PayloadRef& payload,
     TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
     if (field == 1) {
       TFHPC_RETURN_IF_ERROR(in.ReadString(queue));
+    } else if (field == 2) {
+      TFHPC_RETURN_IF_ERROR(ReadTensorArg(in, wt, payload, tensor));
     } else if (field == 3) {
       uint64_t v;
       TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
       *capacity = static_cast<int64_t>(v);
-    } else if (field == 2 && wt == wire::WireType::kLengthDelimited) {
-      uint64_t len;
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
-      TFHPC_RETURN_IF_ERROR(ParseTrailingTensorView(payload, in, len, tensor));
-      break;
     } else {
       TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
     }
@@ -270,25 +176,19 @@ Status DecodeQueuePayloadView(const wire::PayloadRef& payload,
   return Status::OK();
 }
 
-wire::PayloadRef EncodeVarPayloadView(const std::string& var,
-                                      const Tensor* tensor, bool accumulate,
-                                      bool want_value) {
+wire::PayloadRef EncodeVarPayload(const std::string& var, const Tensor* tensor,
+                                  bool accumulate, bool want_value) {
   std::string head;
   wire::CodedOutput co(&head);
   co.WriteString(1, var);
   co.WriteBool(3, accumulate);
   co.WriteBool(4, want_value);
   if (tensor == nullptr) return wire::PayloadRef(std::move(head));
-  return FinishWithTensorView(std::move(head), 2, *tensor);
+  return wire::AppendTensorField(std::move(head), 2, *tensor);
 }
 
-Status DecodeVarPayloadView(const wire::PayloadRef& payload, std::string* var,
-                            Tensor* tensor, bool* accumulate,
-                            bool* want_value) {
-  if (!payload.is_view()) {
-    return DecodeVarPayload(payload.head(), var, tensor, accumulate,
-                            want_value);
-  }
+Status DecodeVarPayload(const wire::PayloadRef& payload, std::string* var,
+                        Tensor* tensor, bool* accumulate, bool* want_value) {
   wire::CodedInput in(payload.head());
   *accumulate = false;
   *want_value = false;
@@ -299,53 +199,8 @@ Status DecodeVarPayloadView(const wire::PayloadRef& payload, std::string* var,
     uint64_t v = 0;
     if (field == 1) {
       TFHPC_RETURN_IF_ERROR(in.ReadString(var));
-    } else if (field == 3) {
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-      *accumulate = v != 0;
-    } else if (field == 4) {
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-      *want_value = v != 0;
-    } else if (field == 2 && wt == wire::WireType::kLengthDelimited) {
-      uint64_t len;
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
-      TFHPC_RETURN_IF_ERROR(ParseTrailingTensorView(payload, in, len, tensor));
-      break;
-    } else {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (var->empty()) return InvalidArgument("var payload without name");
-  return Status::OK();
-}
-
-std::string EncodeVarPayload(const std::string& var, const Tensor* tensor,
-                             bool accumulate, bool want_value) {
-  std::string out;
-  wire::CodedOutput co(&out);
-  co.WriteString(1, var);
-  if (tensor != nullptr) co.WriteMessage(2, wire::SerializeTensor(*tensor));
-  co.WriteBool(3, accumulate);
-  co.WriteBool(4, want_value);
-  return out;
-}
-
-Status DecodeVarPayload(const std::string& payload, std::string* var,
-                        Tensor* tensor, bool* accumulate, bool* want_value) {
-  wire::CodedInput in(payload);
-  *accumulate = false;
-  *want_value = false;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    uint64_t v = 0;
-    if (field == 1) {
-      TFHPC_RETURN_IF_ERROR(in.ReadString(var));
-    } else if (field == 2 && tensor != nullptr) {
-      const uint8_t* d;
-      size_t s;
-      TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-      TFHPC_ASSIGN_OR_RETURN(*tensor, wire::ParseTensor(d, s));
+    } else if (field == 2) {
+      TFHPC_RETURN_IF_ERROR(ReadTensorArg(in, wt, payload, tensor));
     } else if (field == 3) {
       TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
       *accumulate = v != 0;
@@ -375,10 +230,7 @@ Result<std::vector<Tensor>> DecodeTensorList(const std::string& payload) {
     wire::WireType wt;
     TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
     if (field == 1) {
-      const uint8_t* d;
-      size_t s;
-      TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-      TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ParseTensor(d, s));
+      TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ReadTensorField(in, wt));
       tensors.push_back(std::move(t));
     } else {
       TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
@@ -391,11 +243,7 @@ std::string EncodeNamedTensors(const std::map<std::string, Tensor>& vars) {
   std::string out;
   wire::CodedOutput co(&out);
   for (const auto& [name, tensor] : vars) {
-    std::string entry;
-    wire::CodedOutput eo(&entry);
-    eo.WriteString(1, name);
-    eo.WriteMessage(2, wire::SerializeTensor(tensor));
-    co.WriteMessage(1, entry);
+    wire::WriteNamedTensor(co, 1, name, tensor);
   }
   return out;
 }
@@ -412,60 +260,31 @@ Result<std::map<std::string, Tensor>> DecodeNamedTensors(
       TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
       continue;
     }
-    const uint8_t* d;
-    size_t s;
-    TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-    wire::CodedInput ein(d, s);
     std::string name;
     Tensor tensor;
-    while (!ein.AtEnd()) {
-      uint32_t ef;
-      wire::WireType ewt;
-      TFHPC_RETURN_IF_ERROR(ein.ReadTag(&ef, &ewt));
-      if (ef == 1) {
-        TFHPC_RETURN_IF_ERROR(ein.ReadString(&name));
-      } else if (ef == 2) {
-        const uint8_t* td;
-        size_t ts;
-        TFHPC_RETURN_IF_ERROR(ein.ReadBytesView(&td, &ts));
-        TFHPC_ASSIGN_OR_RETURN(tensor, wire::ParseTensor(td, ts));
-      } else {
-        TFHPC_RETURN_IF_ERROR(ein.SkipField(ewt));
-      }
-    }
-    if (name.empty()) return InvalidArgument("named tensor entry without name");
+    TFHPC_RETURN_IF_ERROR(wire::ReadNamedTensor(in, &name, &tensor));
     vars.emplace(std::move(name), std::move(tensor));
   }
   return vars;
 }
 
-namespace {
-
-// Packed rendezvous send frame (_PackedSend): all but the last tensor are
-// serialized inline as (key, tensor) entries (field 1); the last rides the
-// trailing-view idiom — field 2 is its key, field 3 its tensor view — so
-// the largest zero-copy path the transport offers still applies to one
-// member of the group.
+// All but the last pair ride as inline (key, tensor) entries (field 1); the
+// last is field 2 (its key) and field 3 (its tensor, framed last), so the
+// transport's zero-copy path still applies to one member of the group.
 wire::PayloadRef EncodePackedSendPayload(const std::vector<std::string>& keys,
                                          const std::vector<Tensor>& tensors) {
   std::string head;
   wire::CodedOutput co(&head);
   for (size_t i = 0; i + 1 < keys.size(); ++i) {
-    std::string entry;
-    wire::CodedOutput eo(&entry);
-    eo.WriteString(1, keys[i]);
-    eo.WriteMessage(2, wire::SerializeTensor(tensors[i]));
-    co.WriteMessage(1, entry);
+    wire::WriteNamedTensor(co, 1, keys[i], tensors[i]);
   }
   co.WriteString(2, keys.back());
-  return FinishWithTensorView(std::move(head), 3, tensors.back());
+  return wire::AppendTensorField(std::move(head), 3, tensors.back());
 }
 
 Status DecodePackedSendPayload(const wire::PayloadRef& payload,
                                std::vector<std::string>* keys,
                                std::vector<Tensor>* tensors) {
-  // For non-view payloads (a transport that flattened the frame) head() is
-  // the whole frame and field 3 decodes as ordinary inline bytes.
   wire::CodedInput in(payload.head());
   std::string last_key;
   Tensor last_tensor;
@@ -474,46 +293,16 @@ Status DecodePackedSendPayload(const wire::PayloadRef& payload,
     wire::WireType wt;
     TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
     if (field == 1) {
-      const uint8_t* d;
-      size_t s;
-      TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-      wire::CodedInput ein(d, s);
       std::string key;
       Tensor tensor;
-      while (!ein.AtEnd()) {
-        uint32_t ef;
-        wire::WireType ewt;
-        TFHPC_RETURN_IF_ERROR(ein.ReadTag(&ef, &ewt));
-        if (ef == 1) {
-          TFHPC_RETURN_IF_ERROR(ein.ReadString(&key));
-        } else if (ef == 2) {
-          const uint8_t* td;
-          size_t ts;
-          TFHPC_RETURN_IF_ERROR(ein.ReadBytesView(&td, &ts));
-          TFHPC_ASSIGN_OR_RETURN(tensor, wire::ParseTensor(td, ts));
-        } else {
-          TFHPC_RETURN_IF_ERROR(ein.SkipField(ewt));
-        }
-      }
-      if (key.empty()) {
-        return InvalidArgument("packed send entry without key");
-      }
+      TFHPC_RETURN_IF_ERROR(wire::ReadNamedTensor(in, &key, &tensor));
       keys->push_back(std::move(key));
       tensors->push_back(std::move(tensor));
     } else if (field == 2) {
       TFHPC_RETURN_IF_ERROR(in.ReadString(&last_key));
-    } else if (field == 3 && wt == wire::WireType::kLengthDelimited) {
-      if (payload.is_view()) {
-        uint64_t len;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
-        TFHPC_RETURN_IF_ERROR(
-            ParseTrailingTensorView(payload, in, len, &last_tensor));
-        break;
-      }
-      const uint8_t* d;
-      size_t s;
-      TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-      TFHPC_ASSIGN_OR_RETURN(last_tensor, wire::ParseTensor(d, s));
+    } else if (field == 3) {
+      TFHPC_ASSIGN_OR_RETURN(last_tensor,
+                             wire::ReadTensorField(in, wt, &payload));
     } else {
       TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
     }
@@ -525,8 +314,6 @@ Status DecodePackedSendPayload(const wire::PayloadRef& payload,
   tensors->push_back(std::move(last_tensor));
   return Status::OK();
 }
-
-}  // namespace
 
 // ----- Server ----------------------------------------------------------------
 
@@ -590,7 +377,7 @@ Server::Server(ServerDef def, InProcessRouter* router, std::string address)
         next_send_request_id_.fetch_add(1, std::memory_order_relaxed);
     // View payload: over RDMA the tensor bytes cross by buffer reference
     // (end-to-end zero-copy _Send); MPI stages them once; gRPC flattens.
-    req.payload = EncodeQueuePayloadView(key, &tensor, 0);
+    req.payload = EncodeQueuePayload(key, &tensor, 0);
     req.checksum = wire::PayloadChecksum(req.payload);
     return CallWithRetry(def_.send_retry, req.request_id, [&]() -> Status {
       TFHPC_ASSIGN_OR_RETURN(wire::RpcEnvelope resp,
@@ -744,9 +531,9 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
                                           const wire::PayloadRef& payload,
                                           uint64_t client_id,
                                           CancellationToken* token) {
-  // Methods that parse with the classic string codecs flatten here; a view
-  // payload only ever reaches them over gRPC (already flat) or from legacy
-  // senders, so the tensor-bearing hot paths below never pay this copy.
+  // Graph, step and restore bodies are encoded as plain strings (never a
+  // view), so Contiguous() hands back their head without a copy. Tensor
+  // frames decode either representation through the wire codec instead.
   std::string flat_scratch;
 
   if (method == "Ping") return payload;
@@ -864,7 +651,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     Tensor tensor;
     int64_t capacity;
     TFHPC_RETURN_IF_ERROR(
-        DecodeQueuePayloadView(payload, &queue, &tensor, &capacity));
+        DecodeQueuePayload(payload, &queue, &tensor, &capacity));
     if (!tensor.valid()) return InvalidArgument("Enqueue without tensor");
     TFHPC_ASSIGN_OR_RETURN(FIFOQueue * q,
                            resources_.LookupOrCreateQueue(queue, capacity));
@@ -876,7 +663,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     std::string queue;
     int64_t capacity;
     TFHPC_RETURN_IF_ERROR(
-        DecodeQueuePayloadView(payload, &queue, nullptr, &capacity));
+        DecodeQueuePayload(payload, &queue, nullptr, &capacity));
     TFHPC_ASSIGN_OR_RETURN(FIFOQueue * q,
                            resources_.LookupOrCreateQueue(queue, capacity));
     TFHPC_ASSIGN_OR_RETURN(Tensor t, q->Dequeue(token));
@@ -887,7 +674,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     std::string queue;
     int64_t capacity;
     TFHPC_RETURN_IF_ERROR(
-        DecodeQueuePayloadView(payload, &queue, nullptr, &capacity));
+        DecodeQueuePayload(payload, &queue, nullptr, &capacity));
     TFHPC_ASSIGN_OR_RETURN(FIFOQueue * q,
                            resources_.LookupOrCreateQueue(queue, 0));
     q->Close();
@@ -899,7 +686,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     Tensor tensor;
     bool accumulate, want_value;
     TFHPC_RETURN_IF_ERROR(
-        DecodeVarPayloadView(payload, &var, &tensor, &accumulate,
+        DecodeVarPayload(payload, &var, &tensor, &accumulate,
                              &want_value));
     if (!tensor.valid()) return InvalidArgument("VarWrite without tensor");
     Variable* v = resources_.LookupOrCreateVariable(var);
@@ -941,7 +728,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     Tensor tensor;
     int64_t capacity;
     TFHPC_RETURN_IF_ERROR(
-        DecodeQueuePayloadView(payload, &key, &tensor, &capacity));
+        DecodeQueuePayload(payload, &key, &tensor, &capacity));
     if (!tensor.valid()) return InvalidArgument("RendezvousSend without tensor");
     TFHPC_RETURN_IF_ERROR(resources_.rendezvous().Send(key, std::move(tensor)));
     return wire::PayloadRef();
@@ -972,7 +759,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     std::string var;
     bool accumulate, want_value;
     TFHPC_RETURN_IF_ERROR(
-        DecodeVarPayloadView(payload, &var, nullptr, &accumulate,
+        DecodeVarPayload(payload, &var, nullptr, &accumulate,
                              &want_value));
     Variable* v = resources_.LookupOrCreateVariable(var);
     TFHPC_ASSIGN_OR_RETURN(Tensor t, v->Read());

@@ -134,7 +134,7 @@ struct ServerDef {
   // excess load is shed with kUnavailable + retry-after (see
   // runtime/serving.h). serving.max_inflight is overridden by this field.
   int max_inflight_steps = 0;
-  ServingOptions serving;
+  ServingOptions serving{};
   // Per-step memory budget (bytes) applied to every RunStep on this worker;
   // 0 = unbudgeted. A step allocating past it fails with *permanent*
   // kResourceExhausted (retrying the identical step cannot help), siblings
@@ -143,7 +143,7 @@ struct ServerDef {
   // Allocator fault schedule installed process-wide when the server starts
   // (chaos/testing only; see core/buffer.h). Injected failures surface as
   // transient kResourceExhausted step errors, never process aborts.
-  AllocFaultSpec alloc_faults;
+  AllocFaultSpec alloc_faults{};
 };
 
 class Server {
@@ -266,33 +266,28 @@ struct RunStepRequest {
   static Result<RunStepRequest> Parse(const std::string& payload);
 };
 
-std::string EncodeQueuePayload(const std::string& queue, const Tensor* tensor,
-                               int64_t capacity);
-Status DecodeQueuePayload(const std::string& payload, std::string* queue,
+// Queue, variable and rendezvous frames: the tensor message is framed last
+// and its content rides as a buffer view (wire::AppendTensorField), so RDMA
+// forwards the sender's buffer and MPI/gRPC flatten the frame. The decoders
+// take either representation (wire::ReadTensorField); a null `tensor` means
+// the method takes none, and a frame that carries one anyway is refused.
+wire::PayloadRef EncodeQueuePayload(const std::string& queue,
+                                    const Tensor* tensor, int64_t capacity);
+Status DecodeQueuePayload(const wire::PayloadRef& payload, std::string* queue,
                           Tensor* tensor, int64_t* capacity);
 
-std::string EncodeVarPayload(const std::string& var, const Tensor* tensor,
-                             bool accumulate, bool want_value);
-Status DecodeVarPayload(const std::string& payload, std::string* var,
+wire::PayloadRef EncodeVarPayload(const std::string& var, const Tensor* tensor,
+                                  bool accumulate, bool want_value);
+Status DecodeVarPayload(const wire::PayloadRef& payload, std::string* var,
                         Tensor* tensor, bool* accumulate, bool* want_value);
 
-// Zero-copy variants: the tensor message is framed last in the payload head
-// and its content bytes ride as a buffer view (see wire::SerializeTensorView).
-// The decoders accept both representations — a view payload (RDMA/rendezvous
-// fast path) or classic inline bytes (gRPC delivery, legacy senders).
-wire::PayloadRef EncodeQueuePayloadView(const std::string& queue,
-                                        const Tensor* tensor,
-                                        int64_t capacity);
-Status DecodeQueuePayloadView(const wire::PayloadRef& payload,
-                              std::string* queue, Tensor* tensor,
-                              int64_t* capacity);
-
-wire::PayloadRef EncodeVarPayloadView(const std::string& var,
-                                      const Tensor* tensor, bool accumulate,
-                                      bool want_value);
-Status DecodeVarPayloadView(const wire::PayloadRef& payload, std::string* var,
-                            Tensor* tensor, bool* accumulate,
-                            bool* want_value);
+// Packed rendezvous send frame (_PackedSend): every key/tensor pair of a
+// coalesced cross-task group in one RendezvousSendPacked call.
+wire::PayloadRef EncodePackedSendPayload(const std::vector<std::string>& keys,
+                                         const std::vector<Tensor>& tensors);
+Status DecodePackedSendPayload(const wire::PayloadRef& payload,
+                               std::vector<std::string>* keys,
+                               std::vector<Tensor>* tensors);
 
 std::string EncodeTensorList(const std::vector<Tensor>& tensors);
 Result<std::vector<Tensor>> DecodeTensorList(const std::string& payload);

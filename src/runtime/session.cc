@@ -49,6 +49,9 @@ Result<std::shared_ptr<const Executable>> Session::Prepare(
   std::sort(sig.feeds.begin(), sig.feeds.end());
   const std::string key = sig.Key();
 
+  std::shared_future<CompileResult> in_flight;
+  std::promise<CompileResult> compiled;
+  bool leader = false;
   {
     MutexLock lk(cache_mu_);
     if (max_cached_ > 0) {
@@ -59,12 +62,56 @@ Result<std::shared_ptr<const Executable>> Session::Prepare(
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         return it->second.executable;
       }
+      auto flight = compiling_.find(key);
+      if (flight != compiling_.end()) {
+        in_flight = flight->second;
+      } else {
+        leader = true;
+        compiling_.emplace(key, compiled.get_future().share());
+      }
     }
+  }
+  if (in_flight.valid()) {
+    CompileResult shared = in_flight.get();
+    if (shared.ok()) cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return shared;
   }
 
   // Miss (or stale): compile outside the cache lock — compiles can be slow
   // and concurrent Runs with other signatures must not serialize on them.
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  CompileResult exe = CompileSignature(sig);
+
+  MutexLock lk(cache_mu_);
+  if (leader) {
+    compiled.set_value(exe);
+    compiling_.erase(key);
+  }
+  if (!exe.ok() || max_cached_ == 0) return exe;
+  auto it = cache_.find(key);
+  if (it != cache_.end()) {
+    // A stale entry we are replacing, unless caching was toggled mid-compile
+    // and another compile won; the freshest graph version wins.
+    if (it->second.executable->graph_version() >= (*exe)->graph_version()) {
+      return it->second.executable;
+    }
+    it->second.executable = *exe;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    return exe;
+  }
+  while (cache_.size() >= max_cached_ && !lru_.empty()) {
+    cache_.erase(lru_.back());
+    lru_.pop_back();
+  }
+  lru_.push_front(key);
+  cache_.emplace(key, CacheEntry{*exe, lru_.begin()});
+  return exe;
+}
+
+Result<std::shared_ptr<const Executable>> Session::CompileSignature(
+    const RunSignature& sig) {
+  const std::vector<std::string>& fetches = sig.fetches;
+  const std::vector<std::string>& targets = sig.targets;
 
   // GraphCheck: static verification + shape inference for this signature's
   // closure. Strict mode fails the compile on ERROR findings; warn mode
@@ -205,25 +252,6 @@ Result<std::shared_ptr<const Executable>> Session::Prepare(
                                plan.get()));
   }
 
-  MutexLock lk(cache_mu_);
-  if (max_cached_ == 0) return exe;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    // Either a stale entry we are replacing, or a concurrent compile won
-    // the race; the freshest graph version wins.
-    if (it->second.executable->graph_version() >= exe->graph_version()) {
-      return it->second.executable;
-    }
-    it->second.executable = exe;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return exe;
-  }
-  while (cache_.size() >= max_cached_ && !lru_.empty()) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  lru_.push_front(key);
-  cache_.emplace(key, CacheEntry{exe, lru_.begin()});
   return exe;
 }
 

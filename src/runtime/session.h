@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <future>
 #include <list>
 #include <memory>
 
@@ -93,8 +94,11 @@ class Session {
 
   // Returns the cached Executable for this signature, compiling (and
   // caching) on miss or when the cached entry predates a graph mutation.
-  // Exposed so the distributed worker can pin an Executable to a step
-  // handle and skip even the signature lookup on the hot path.
+  // Single-flight per signature: concurrent misses wait on the first
+  // compile and share its result (counted as cache hits) instead of each
+  // compiling again. Exposed so the distributed worker can pin an
+  // Executable to a step handle and skip even the signature lookup on the
+  // hot path.
   Result<std::shared_ptr<const Executable>> Prepare(
       const std::vector<std::string>& feed_keys,
       const std::vector<std::string>& fetches,
@@ -124,6 +128,11 @@ class Session {
   int64_t nodes_executed() const { return nodes_executed_.load(); }
 
  private:
+  // GraphCheck, the optimizer, the memory planner and Compile for one
+  // signature; no cache involvement.
+  Result<std::shared_ptr<const Executable>> CompileSignature(
+      const RunSignature& sig);
+
   Graph* graph_;
   Executor executor_;
   SessionOptions options_;
@@ -139,6 +148,10 @@ class Session {
     std::list<std::string>::iterator lru_pos;
   };
   std::map<std::string, CacheEntry> cache_ TFHPC_GUARDED_BY(cache_mu_);
+  // Compiles in flight, keyed like cache_ (only while caching is on).
+  using CompileResult = Result<std::shared_ptr<const Executable>>;
+  std::map<std::string, std::shared_future<CompileResult>> compiling_
+      TFHPC_GUARDED_BY(cache_mu_);
   std::atomic<int64_t> cache_hits_{0};
   std::atomic<int64_t> cache_misses_{0};
   std::atomic<int64_t> nodes_executed_{0};

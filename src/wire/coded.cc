@@ -108,14 +108,19 @@ Status CodedInput::ReadFloat(float* v) {
   return Status::OK();
 }
 
+Status CodedInput::ReadRaw(size_t size, const uint8_t** data) {
+  if (size > remaining()) return OutOfRange("truncated length-delimited field");
+  *data = p_;
+  p_ += size;
+  return Status::OK();
+}
+
 Status CodedInput::ReadBytesView(const uint8_t** data, size_t* size) {
   uint64_t len;
   TFHPC_RETURN_IF_ERROR(ReadVarint(&len));
   if (len > remaining()) return OutOfRange("truncated length-delimited field");
-  *data = p_;
   *size = static_cast<size_t>(len);
-  p_ += len;
-  return Status::OK();
+  return ReadRaw(*size, data);
 }
 
 Status CodedInput::ReadString(std::string* v) {

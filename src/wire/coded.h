@@ -88,6 +88,8 @@ class CodedInput {
   Status ReadTag(uint32_t* field, WireType* type);
   Status ReadDouble(double* v);
   Status ReadFloat(float* v);
+  // Returns a view over the next `size` raw bytes (no copy).
+  Status ReadRaw(size_t size, const uint8_t** data);
   // Reads a length prefix and returns a view over the payload (no copy).
   Status ReadBytesView(const uint8_t** data, size_t* size);
   Status ReadString(std::string* v);

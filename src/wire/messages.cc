@@ -6,31 +6,43 @@ namespace tfhpc::wire {
 
 // ---- TensorProto ----------------------------------------------------------
 
-std::string SerializeTensor(const Tensor& t) {
-  std::string out;
-  CodedOutput co(&out);
+PayloadRef SerializeTensorView(const Tensor& t) {
+  std::string head;
+  CodedOutput co(&head);
   co.WriteUInt64(1, static_cast<uint64_t>(t.dtype()));
   for (int64_t d : t.shape().dims()) {
     co.WriteUInt64(2, static_cast<uint64_t>(d));
   }
-  if (t.is_meta()) {
-    co.WriteBool(4, true);
-  } else if (t.valid()) {
-    co.WriteBytes(3, t.raw_data(), static_cast<size_t>(t.bytes()));
+  if (t.is_meta() || !t.valid()) {
+    if (t.is_meta()) co.WriteBool(4, true);
+    return PayloadRef(std::move(head));
   }
-  return out;
+  // Frame field 3 (tag + length) in the head; the content bytes stay in the
+  // tensor's buffer and ride along as a view.
+  const size_t content = static_cast<size_t>(t.bytes());
+  co.WriteTag(3, WireType::kLengthDelimited);
+  co.WriteVarint(content);
+  return PayloadRef::View(std::move(head), t.buffer(), 0, content);
 }
 
-Result<Tensor> ParseTensor(const std::string& data) {
-  return ParseTensor(data.data(), data.size());
+std::string SerializeTensor(const Tensor& t) {
+  return SerializeTensorView(t).Flatten();
 }
 
-Result<Tensor> ParseTensor(const void* data, size_t size) {
-  CodedInput in(data, size);
+namespace {
+
+// The TensorProto parser. The message is the `size` bytes at `head`,
+// followed by `frame`'s view when `frame` is a view payload; that view is
+// then exactly the content field's value, so field 3 must end the head.
+Result<Tensor> ParseTensorMessage(const void* head, size_t size,
+                                  const PayloadRef* frame) {
+  const bool has_view = frame != nullptr && frame->is_view();
+  CodedInput in(head, size);
   DType dtype = DType::kInvalid;
   std::vector<int64_t> dims;
   const uint8_t* content = nullptr;
   size_t content_size = 0;
+  bool content_is_view = false;
   bool is_meta = false;
   while (!in.AtEnd()) {
     uint32_t field;
@@ -58,96 +70,21 @@ Result<Tensor> ParseTensor(const void* data, size_t size) {
         dims.push_back(static_cast<int64_t>(v));
         break;
       }
-      case 3:
-        TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&content, &content_size));
-        break;
-      case 4: {
-        uint64_t v;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-        is_meta = v != 0;
-        break;
-      }
-      default:
-        TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (dtype == DType::kInvalid) return InvalidArgument("TensorProto: no dtype");
-  Shape shape(std::move(dims));
-  if (is_meta) return Tensor::Meta(dtype, std::move(shape));
-  // The content overwrites every element, so skip the zero-fill and let the
-  // pool hand back a recycled block.
-  Tensor t = Tensor::Uninitialized(dtype, std::move(shape));
-  if (static_cast<size_t>(t.bytes()) != content_size) {
-    return InvalidArgument("TensorProto: content size " +
-                           std::to_string(content_size) + " != expected " +
-                           std::to_string(t.bytes()));
-  }
-  if (content_size > 0) std::memcpy(t.raw_data(), content, content_size);
-  return t;
-}
-
-PayloadRef SerializeTensorView(const Tensor& t) {
-  std::string head;
-  CodedOutput co(&head);
-  co.WriteUInt64(1, static_cast<uint64_t>(t.dtype()));
-  for (int64_t d : t.shape().dims()) {
-    co.WriteUInt64(2, static_cast<uint64_t>(d));
-  }
-  if (t.is_meta() || !t.valid()) {
-    if (t.is_meta()) co.WriteBool(4, true);
-    return PayloadRef(std::move(head));
-  }
-  // Frame field 3 (tag + length) in the head; the content bytes stay in the
-  // tensor's buffer and ride along as a view.
-  const size_t content = static_cast<size_t>(t.bytes());
-  co.WriteTag(3, WireType::kLengthDelimited);
-  co.WriteVarint(content);
-  return PayloadRef::View(std::move(head), t.buffer(), 0, content);
-}
-
-Result<Tensor> ParseTensorView(const PayloadRef& p) {
-  if (!p.is_view()) return ParseTensor(p.head().data(), p.head().size());
-  CodedInput in(p.head());
-  DType dtype = DType::kInvalid;
-  std::vector<int64_t> dims;
-  bool is_meta = false;
-  bool content_is_view = false;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    switch (field) {
-      case 1: {
-        uint64_t v;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-        if (!IsKnownDType(v)) {
-          return InvalidArgument("TensorProto: unknown dtype " +
-                                 std::to_string(v));
-        }
-        dtype = static_cast<DType>(v);
-        break;
-      }
-      case 2: {
-        uint64_t v;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-        if (v > (uint64_t{1} << 48)) {
-          return InvalidArgument("TensorProto: implausible dim " +
-                                 std::to_string(v));
-        }
-        dims.push_back(static_cast<int64_t>(v));
-        break;
-      }
       case 3: {
-        // In a view payload the content length is framed in the head and the
-        // bytes themselves are the view. Anything else is malformed.
         if (wt != WireType::kLengthDelimited) {
           return InvalidArgument("TensorProto: bad wire type for content");
         }
+        if (!has_view) {
+          TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&content, &content_size));
+          break;
+        }
         uint64_t len;
         TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
-        if (len != p.view_size() || !in.AtEnd()) {
+        if (len != frame->view_size() || !in.AtEnd()) {
           return InvalidArgument("TensorProto: view content length mismatch");
         }
+        content = frame->view_data();
+        content_size = frame->view_size();
         content_is_view = true;
         break;
       }
@@ -162,29 +99,118 @@ Result<Tensor> ParseTensorView(const PayloadRef& p) {
     }
   }
   if (dtype == DType::kInvalid) return InvalidArgument("TensorProto: no dtype");
+  // Shape::num_elements() aborts on a byte count past int64, and the frame
+  // comes from outside the process: bound the product here.
+  const int64_t item = static_cast<int64_t>(DTypeSize(dtype));
+  int64_t elements = 1;
+  for (int64_t d : dims) {
+    if (d != 0 && elements > INT64_MAX / item / d) {
+      return InvalidArgument("TensorProto: implausible shape");
+    }
+    elements *= d;
+  }
   Shape shape(std::move(dims));
   if (is_meta) return Tensor::Meta(dtype, std::move(shape));
-  if (!content_is_view) {
+  if (has_view && !content_is_view) {
     return InvalidArgument("TensorProto: view payload without content field");
   }
-  const int64_t expect =
-      shape.num_elements() * static_cast<int64_t>(DTypeSize(dtype));
-  if (static_cast<size_t>(expect) != p.view_size()) {
+  const int64_t expect = elements * item;
+  if (static_cast<size_t>(expect) != content_size) {
     return InvalidArgument("TensorProto: content size " +
-                           std::to_string(p.view_size()) + " != expected " +
+                           std::to_string(content_size) + " != expected " +
                            std::to_string(expect));
   }
   // True zero-copy: adopt the buffer when the view spans it exactly from the
-  // start. Sub-views (offset into a larger frame) copy once into a pooled,
-  // uninitialized buffer.
-  if (p.view_offset() == 0 && p.buffer()->size() == p.view_size()) {
-    return Tensor::FromBuffer(dtype, std::move(shape), p.buffer());
+  // start.
+  if (content_is_view && frame->view_offset() == 0 &&
+      frame->buffer()->size() == content_size) {
+    return Tensor::FromBuffer(dtype, std::move(shape), frame->buffer());
   }
+  // The content overwrites every element, so skip the zero-fill and let the
+  // pool hand back a recycled block.
   Tensor t = Tensor::Uninitialized(dtype, std::move(shape));
-  if (p.view_size() > 0) {
-    std::memcpy(t.raw_data(), p.view_data(), p.view_size());
-  }
+  if (content_size > 0) std::memcpy(t.raw_data(), content, content_size);
   return t;
+}
+
+}  // namespace
+
+Result<Tensor> ParseTensor(const void* data, size_t size) {
+  return ParseTensorMessage(data, size, nullptr);
+}
+
+Result<Tensor> ParseTensor(const std::string& data) {
+  return ParseTensorMessage(data.data(), data.size(), nullptr);
+}
+
+Result<Tensor> ParseTensor(const PayloadRef& p) {
+  return ParseTensorMessage(p.head().data(), p.head().size(), &p);
+}
+
+// ---- Tensor fields inside frames --------------------------------------------
+
+PayloadRef AppendTensorField(std::string head, uint32_t field,
+                             const Tensor& t) {
+  PayloadRef tp = SerializeTensorView(t);
+  CodedOutput co(&head);
+  co.WriteTag(field, WireType::kLengthDelimited);
+  co.WriteVarint(tp.size());
+  head.append(tp.head());
+  if (!tp.is_view()) return PayloadRef(std::move(head));
+  return PayloadRef::View(std::move(head), tp.buffer(), tp.view_offset(),
+                          tp.view_size());
+}
+
+Result<Tensor> ReadTensorField(CodedInput& in, WireType wt,
+                               const PayloadRef* frame) {
+  if (wt != WireType::kLengthDelimited) {
+    return InvalidArgument("tensor field is not length-delimited");
+  }
+  if (frame == nullptr || !frame->is_view()) {
+    const uint8_t* d;
+    size_t s;
+    TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
+    return ParseTensorMessage(d, s, nullptr);
+  }
+  uint64_t len;
+  TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
+  const size_t rest = in.remaining();
+  if (len != rest + frame->view_size()) {
+    return InvalidArgument("payload: tensor view must terminate the frame");
+  }
+  const uint8_t* d;
+  TFHPC_RETURN_IF_ERROR(in.ReadRaw(rest, &d));
+  return ParseTensorMessage(d, rest, frame);
+}
+
+void WriteNamedTensor(CodedOutput& co, uint32_t field, const std::string& name,
+                      const Tensor& t) {
+  std::string entry;
+  CodedOutput eo(&entry);
+  eo.WriteString(1, name);
+  eo.WriteMessage(2, SerializeTensor(t));
+  co.WriteMessage(field, entry);
+}
+
+Status ReadNamedTensor(CodedInput& in, std::string* name, Tensor* t) {
+  const uint8_t* d;
+  size_t s;
+  TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
+  CodedInput entry(d, s);
+  while (!entry.AtEnd()) {
+    uint32_t field;
+    WireType wt;
+    TFHPC_RETURN_IF_ERROR(entry.ReadTag(&field, &wt));
+    if (field == 1) {
+      TFHPC_RETURN_IF_ERROR(entry.ReadString(name));
+    } else if (field == 2) {
+      TFHPC_ASSIGN_OR_RETURN(*t, ReadTensorField(entry, wt));
+    } else {
+      TFHPC_RETURN_IF_ERROR(entry.SkipField(wt));
+    }
+  }
+  if (name->empty()) return InvalidArgument("named tensor entry without name");
+  return Status::OK();
 }
 
 // ---- AttrValue --------------------------------------------------------------
@@ -642,15 +668,6 @@ Result<RpcEnvelope> RpcEnvelope::Parse(const std::string& data) {
     }
   }
   return e;
-}
-
-uint64_t PayloadChecksum(const std::string& data) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
 }
 
 }  // namespace tfhpc::wire

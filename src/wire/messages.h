@@ -13,6 +13,7 @@
 
 #include "core/status.h"
 #include "core/tensor.h"
+#include "wire/coded.h"
 #include "wire/payload.h"
 
 namespace tfhpc::wire {
@@ -20,22 +21,45 @@ namespace tfhpc::wire {
 // ---- TensorProto ----------------------------------------------------------
 // field 1: dtype (varint)      field 2: dims (repeated varint)
 // field 3: content (bytes)     field 4: is_meta (bool)
-std::string SerializeTensor(const Tensor& t);
-Result<Tensor> ParseTensor(const std::string& data);
-Result<Tensor> ParseTensor(const void* data, size_t size);
-
-// Zero-copy variants. SerializeTensorView serializes only the header fields
-// (dtype, dims, the field-3 tag + length prefix) into the payload head and
-// *references* the tensor's buffer as the content view — the tensor bytes
-// are never copied. Flatten()ing the result reproduces SerializeTensor()
-// exactly. ParseTensorView adopts the view's buffer directly when the
-// content spans the whole buffer (0 copies); otherwise it copies once into a
-// pool-allocated, uninitialized buffer.
+//
+// SerializeTensorView is the one encoder: the header fields and the field-3
+// tag + length prefix go into the payload head, and the tensor's buffer is
+// *referenced* as the view (the content bytes are never copied).
+// SerializeTensor is its Flatten(). ParseTensor is the one parser, over head
+// bytes plus an optional view: content inside the head is copied once into
+// a pooled, uninitialized buffer; content that is a view spanning its whole
+// buffer is adopted without a copy (a sub-view copies once).
 PayloadRef SerializeTensorView(const Tensor& t);
-Result<Tensor> ParseTensorView(const PayloadRef& p);
-inline Result<Tensor> ParseTensor(const PayloadRef& p) {
-  return ParseTensorView(p);
-}
+std::string SerializeTensor(const Tensor& t);
+Result<Tensor> ParseTensor(const void* data, size_t size);
+Result<Tensor> ParseTensor(const std::string& data);
+Result<Tensor> ParseTensor(const PayloadRef& p);
+
+// ---- Tensor fields inside frames --------------------------------------------
+// The RPC bodies that carry tensors (queue, variable and rendezvous frames)
+// are messages with one TensorProto field. These helpers are the only code
+// that knows where that tensor's content lives in a frame.
+
+// Appends `t` as length-delimited field `field` to the frame `head` and
+// returns the frame. The content rides as a view, so the tensor must be the
+// frame's last field.
+PayloadRef AppendTensorField(std::string head, uint32_t field, const Tensor& t);
+
+// Reads a tensor field whose tag (wire type `wt`) `in` just consumed. `in`
+// reads the head of `frame`, or any bytes with no view when `frame` is null.
+// Inline frames take the field in any position; in a view frame the tensor
+// message is the rest of the head followed by the whole view, so the field
+// must end the frame.
+Result<Tensor> ReadTensorField(CodedInput& in, WireType wt,
+                               const PayloadRef* frame = nullptr);
+
+// A (name = 1, tensor = 2) entry written as length-delimited field `field`:
+// the element of every name -> tensor list on the wire (RunStep feeds,
+// variable snapshots, packed rendezvous sends). The reader takes `in` just
+// past the entry's tag and rejects an entry without a name.
+void WriteNamedTensor(CodedOutput& co, uint32_t field, const std::string& name,
+                      const Tensor& t);
+Status ReadNamedTensor(CodedInput& in, std::string* name, Tensor* t);
 
 // ---- AttrValue -------------------------------------------------------------
 // A graph-attribute value: exactly one of the members is meaningful.
@@ -154,8 +178,5 @@ struct RpcEnvelope {
   std::string Serialize() const;
   static Result<RpcEnvelope> Parse(const std::string& data);
 };
-
-// FNV-1a 64-bit over `data` — the RpcEnvelope::checksum function.
-uint64_t PayloadChecksum(const std::string& data);
 
 }  // namespace tfhpc::wire

@@ -52,17 +52,28 @@ bool PayloadRef::operator==(const PayloadRef& o) const {
   return a == b;
 }
 
-uint64_t PayloadChecksum(const PayloadRef& p) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  auto mix = [&h](const uint8_t* d, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      h ^= d[i];
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
-  mix(reinterpret_cast<const uint8_t*>(p.head().data()), p.head().size());
-  if (p.is_view()) mix(p.view_data(), p.view_size());
+namespace {
+
+constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t size) {
+  const auto* d = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= d[i];
+    h *= 1099511628211ull;  // FNV prime
+  }
   return h;
+}
+
+}  // namespace
+
+uint64_t PayloadChecksum(const std::string& data) {
+  return Fnv1a(kFnvOffsetBasis, data.data(), data.size());
+}
+
+uint64_t PayloadChecksum(const PayloadRef& p) {
+  const uint64_t h = Fnv1a(kFnvOffsetBasis, p.head().data(), p.head().size());
+  return p.is_view() ? Fnv1a(h, p.view_data(), p.view_size()) : h;
 }
 
 }  // namespace tfhpc::wire

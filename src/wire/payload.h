@@ -6,9 +6,10 @@
 // without ever serializing the content, MPI stages it exactly once, and gRPC
 // flattens (serializes) as real gRPC must.
 //
-// Invariant: Flatten() returns exactly the bytes the classic inline encoding
-// would have produced, so any consumer may flatten and every legacy parser
-// keeps working; checksums are identical across representations.
+// An inline payload is a view with an empty tail: Flatten() yields the same
+// bytes whichever representation carries them, so a transport may flatten a
+// view and the receiver decodes it unchanged; checksums are identical across
+// representations.
 #pragma once
 
 #include <cstddef>
@@ -88,8 +89,10 @@ class PayloadRef {
   size_t len_ = 0;
 };
 
-// FNV-1a 64-bit over the payload's byte sequence; equals
-// PayloadChecksum(Flatten()) without materializing the copy.
+// FNV-1a 64-bit — the RpcEnvelope::checksum function. The PayloadRef form
+// hashes head then view, so it equals PayloadChecksum(p.Flatten()) without
+// materializing the copy.
+uint64_t PayloadChecksum(const std::string& data);
 uint64_t PayloadChecksum(const PayloadRef& p);
 
 }  // namespace tfhpc::wire

@@ -50,12 +50,6 @@ const Diagnostic* Find(const std::vector<Diagnostic>& diags,
   return nullptr;
 }
 
-int CountCode(const std::vector<Diagnostic>& diags, const std::string& code) {
-  return static_cast<int>(
-      std::count_if(diags.begin(), diags.end(),
-                    [&](const Diagnostic& d) { return d.code == code; }));
-}
-
 // ---- structural verifier ----------------------------------------------------
 
 TEST(GraphCheckStructuralTest, CleanGraphHasNoFindings) {

@@ -264,6 +264,21 @@ TEST(CgFunctionalTest, CheckpointRestartResumes) {
   }
 }
 
+TEST(CgFunctionalTest, ZeroToleranceStopsAtExactConvergence) {
+  // Tolerance 0 runs until r.r or p.Ap reaches exactly zero. The solve must
+  // stop there instead of dividing 0/0 and reporting a NaN residual.
+  CgOptions opts;
+  opts.n = 32;
+  opts.num_workers = 2;
+  opts.max_iterations = 400;
+  opts.tolerance = 0;
+  auto r = RunCgFunctional(opts, 5, distrib::WireProtocol::kRdma);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(std::isfinite(r->residual)) << r->residual;
+  EXPECT_LT(r->residual, 1e-20);
+  for (double v : r->solution.data<double>()) ASSERT_TRUE(std::isfinite(v));
+}
+
 TEST(CgFunctionalTest, RejectsIndivisibleSplit) {
   CgOptions opts;
   opts.n = 30;

@@ -3,12 +3,33 @@
 // proxies, and the paper's parameter-server + reducer patterns end to end.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
+#include <new>
 #include <thread>
 
 #include "cluster/slurm.h"
 #include "distrib/client.h"
 #include "distrib/server.h"
 #include "graph/ops.h"
+
+// The largest operator-new request made on this thread since the last reset.
+// Tensor buffers come from the pool (aligned_alloc), so around a decode only
+// an intermediate std::string copy of the frame or the tensor message shows
+// up here.
+thread_local size_t largest_new_on_thread = 0;
+
+void* operator new(std::size_t size) {
+  largest_new_on_thread = std::max(largest_new_on_thread, size);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair the inlined free() with the
+// operator new at a call site and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tfhpc::distrib {
 namespace {
@@ -175,7 +196,7 @@ TEST_F(TransportTest, ViewAndInlinePayloadsAreWireIdentical) {
   EXPECT_EQ(wire::PayloadChecksum(view),
             wire::PayloadChecksum(wire::SerializeTensor(t)));
   // And both representations parse back to the same tensor.
-  auto parsed = wire::ParseTensorView(view);
+  auto parsed = wire::ParseTensor(view);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->shape(), t.shape());
   EXPECT_DOUBLE_EQ(parsed->data<double>()[256], 64.0);
@@ -186,6 +207,201 @@ TEST_F(TransportTest, UnknownAddressUnavailable) {
   req.method = "Echo";
   EXPECT_EQ(router_.Call("ghost:1", WireProtocol::kRdma, req).status().code(),
             Code::kUnavailable);
+}
+
+// ---- Tensor frame codecs -------------------------------------------------------------
+
+// One tensor-carrying frame kind: the fields before its tensor, the tensor's
+// field number and the frame's decoder (nullptr tensor = method takes none).
+struct FrameKind {
+  const char* name;
+  std::string prefix;
+  uint32_t tensor_field;
+  std::function<Status(const wire::PayloadRef&, Tensor*)> decode;
+};
+
+std::vector<FrameKind> TensorFrameKinds() {
+  auto fields = [](uint32_t name_field, const std::string& name) {
+    std::string head;
+    wire::CodedOutput(&head).WriteString(name_field, name);
+    return head;
+  };
+  return {
+      {"queue", fields(1, "q"), 2,
+       [](const wire::PayloadRef& p, Tensor* t) {
+         std::string queue;
+         int64_t capacity;
+         return DecodeQueuePayload(p, &queue, t, &capacity);
+       }},
+      {"var", fields(1, "v"), 2,
+       [](const wire::PayloadRef& p, Tensor* t) {
+         std::string var;
+         bool accumulate, want_value;
+         return DecodeVarPayload(p, &var, t, &accumulate, &want_value);
+       }},
+      {"packed_send", fields(2, "k"), 3,
+       [](const wire::PayloadRef& p, Tensor* t) {
+         std::vector<std::string> keys;
+         std::vector<Tensor> tensors;
+         TFHPC_RETURN_IF_ERROR(DecodePackedSendPayload(p, &keys, &tensors));
+         if (t != nullptr) *t = tensors.back();
+         return Status::OK();
+       }},
+  };
+}
+
+Tensor Ramp(int64_t n) {
+  Tensor t(DType::kF32, Shape{n});
+  for (int64_t i = 0; i < n; ++i) {
+    t.mutable_data<float>()[static_cast<size_t>(i)] = static_cast<float>(i);
+  }
+  return t;
+}
+
+// `frame`'s view under a different head.
+wire::PayloadRef WithHead(const wire::PayloadRef& frame, std::string head) {
+  return wire::PayloadRef::View(std::move(head), frame.buffer(),
+                                frame.view_offset(), frame.view_size());
+}
+
+TEST(FrameCodecTest, ViewAndInlineFramesDecodeToTheSameTensor) {
+  const Tensor t = Ramp(300);
+  for (const FrameKind& k : TensorFrameKinds()) {
+    wire::PayloadRef frame =
+        wire::AppendTensorField(k.prefix, k.tensor_field, t);
+    ASSERT_TRUE(frame.is_view()) << k.name;
+    Tensor from_view, from_inline;
+    ASSERT_TRUE(k.decode(frame, &from_view).ok()) << k.name;
+    frame.Detach();
+    ASSERT_TRUE(k.decode(frame, &from_inline).ok()) << k.name;
+    EXPECT_TRUE(from_view.BitwiseEquals(t)) << k.name;
+    EXPECT_TRUE(from_inline.BitwiseEquals(t)) << k.name;
+  }
+}
+
+TEST(FrameCodecTest, InlineTensorFieldNeedNotBeLast) {
+  const Tensor t = Ramp(7);
+  for (const FrameKind& k : TensorFrameKinds()) {
+    std::string head;
+    wire::CodedOutput(&head).WriteMessage(k.tensor_field,
+                                          wire::SerializeTensor(t));
+    head += k.prefix;  // the name/key field follows the tensor
+    Tensor got;
+    ASSERT_TRUE(k.decode(wire::PayloadRef(head), &got).ok()) << k.name;
+    EXPECT_TRUE(got.BitwiseEquals(t)) << k.name;
+  }
+}
+
+TEST(FrameCodecTest, MalformedViewFramesAreRejected) {
+  const Tensor t = Ramp(64);
+  for (const FrameKind& k : TensorFrameKinds()) {
+    const wire::PayloadRef frame =
+        wire::AppendTensorField(k.prefix, k.tensor_field, t);
+    Tensor got;
+
+    // The tensor view does not terminate the frame: a field follows the
+    // tensor header in the head.
+    std::string trailing = frame.head();
+    wire::CodedOutput(&trailing).WriteUInt64(9, 1);
+    Status st = k.decode(WithHead(frame, trailing), &got);
+    EXPECT_EQ(st.code(), Code::kInvalidArgument)
+        << k.name << ": " << st.ToString();
+
+    // The content length in the tensor header differs from the view size
+    // (the outer field length still spans head rest + view).
+    std::string tensor_head;
+    wire::CodedOutput th(&tensor_head);
+    th.WriteUInt64(1, static_cast<uint64_t>(DType::kF32));
+    th.WriteUInt64(2, 64);
+    th.WriteTag(3, wire::WireType::kLengthDelimited);
+    th.WriteVarint(frame.view_size() - 4);
+    std::string mismatched = k.prefix;
+    wire::CodedOutput mo(&mismatched);
+    mo.WriteTag(k.tensor_field, wire::WireType::kLengthDelimited);
+    mo.WriteVarint(tensor_head.size() + frame.view_size());
+    mismatched += tensor_head;
+    st = k.decode(WithHead(frame, mismatched), &got);
+    EXPECT_EQ(st.code(), Code::kInvalidArgument)
+        << k.name << ": " << st.ToString();
+
+    // A truncated head: the tensor header lost its last bytes, or the head
+    // ends inside the tensor field's length prefix.
+    const std::string short_header =
+        frame.head().substr(0, frame.head().size() - 2);
+    st = k.decode(WithHead(frame, short_header), &got);
+    EXPECT_EQ(st.code(), Code::kInvalidArgument)
+        << k.name << ": " << st.ToString();
+    const std::string no_length = frame.head().substr(0, k.prefix.size() + 1);
+    st = k.decode(WithHead(frame, no_length), &got);
+    EXPECT_EQ(st.code(), Code::kOutOfRange) << k.name << ": " << st.ToString();
+  }
+}
+
+TEST(FrameCodecTest, MethodsWithoutTensorRefuseOne) {
+  // Dequeue, CloseQueue and VarRead take no tensor. A frame that carries one
+  // is refused whether it arrives as a view or inline.
+  const Tensor t = Ramp(16);
+  for (const FrameKind& k : TensorFrameKinds()) {
+    if (std::string(k.name) == "packed_send") continue;  // always a tensor
+    wire::PayloadRef frame =
+        wire::AppendTensorField(k.prefix, k.tensor_field, t);
+    EXPECT_EQ(k.decode(frame, nullptr).code(), Code::kInvalidArgument)
+        << k.name;
+    frame.Detach();
+    EXPECT_EQ(k.decode(frame, nullptr).code(), Code::kInvalidArgument)
+        << k.name;
+  }
+}
+
+TEST(FrameCodecTest, InlineDecodeCopiesContentOnlyIntoTheTensor) {
+  const Tensor t = Ramp(1 << 18);  // 1 MiB of content
+  wire::PayloadRef frame = EncodeVarPayload("v", &t, true, false);
+  frame.Detach();
+  std::string var;
+  Tensor got;
+  bool accumulate, want_value;
+  largest_new_on_thread = 0;
+  ASSERT_TRUE(
+      DecodeVarPayload(frame, &var, &got, &accumulate, &want_value).ok());
+  // No std::string of the frame or of the tensor message was built.
+  EXPECT_LT(largest_new_on_thread, 4096u);
+  EXPECT_TRUE(got.BitwiseEquals(t));
+  EXPECT_NE(got.raw_data(), t.raw_data());
+}
+
+TEST_F(TransportTest, RdmaVarWriteDecodesToTheSendersBuffer) {
+  const Tensor t = Ramp(1 << 16);
+  const void* decoded = nullptr;
+  bool equal = false;
+  ASSERT_TRUE(router_
+                  .Register("decode:1",
+                            [&](const wire::RpcEnvelope& req) {
+                              std::string var;
+                              Tensor got;
+                              bool accumulate, want_value;
+                              EXPECT_TRUE(DecodeVarPayload(req.payload, &var,
+                                                           &got, &accumulate,
+                                                           &want_value)
+                                              .ok());
+                              decoded = got.raw_data();
+                              equal = got.BitwiseEquals(t);
+                              return wire::RpcEnvelope();
+                            })
+                  .ok());
+  wire::RpcEnvelope req;
+  req.method = "VarWrite";
+  req.payload = EncodeVarPayload("v", &t, false, false);
+
+  // RDMA: the decoded tensor adopts the sender's buffer (zero copies).
+  ASSERT_TRUE(router_.Call("decode:1", WireProtocol::kRdma, req).ok());
+  EXPECT_EQ(decoded, t.raw_data());
+  EXPECT_TRUE(equal);
+
+  // MPI stages the frame once; the decode copies the content into a fresh
+  // pooled buffer.
+  ASSERT_TRUE(router_.Call("decode:1", WireProtocol::kMpi, req).ok());
+  EXPECT_NE(decoded, t.raw_data());
+  EXPECT_TRUE(equal);
 }
 
 // ---- Server + client ---------------------------------------------------------------

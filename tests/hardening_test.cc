@@ -204,7 +204,7 @@ TEST(ServerFuzzTest, MalformedPayloadsErrorCleanly) {
       std::string q;
       Tensor t;
       int64_t cap;
-      if (distrib::DecodeQueuePayloadView(req.payload, &q, &t, &cap).ok()) {
+      if (distrib::DecodeQueuePayload(req.payload, &q, &t, &cap).ok()) {
         continue;
       }
     }

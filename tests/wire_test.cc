@@ -210,11 +210,75 @@ TEST(TensorProtoTest, RejectsImplausibleDims) {
   EXPECT_FALSE(ParseTensor(buf).ok());
 }
 
+TEST(TensorProtoTest, RejectsShapeWhoseByteCountOverflows) {
+  // Each dim passes the per-dim bound; their product does not fit int64.
+  std::string buf;
+  CodedOutput co(&buf);
+  co.WriteUInt64(1, static_cast<uint64_t>(DType::kF64));
+  co.WriteUInt64(2, uint64_t{1} << 40);
+  co.WriteUInt64(2, uint64_t{1} << 40);
+  auto r = ParseTensor(buf);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kInvalidArgument);
+}
+
 TEST(TensorProtoTest, RejectsContentSizeMismatch) {
   Tensor t = Tensor::FromVector(std::vector<float>{1, 2, 3});
   std::string s = SerializeTensor(t);
   s.pop_back();  // corrupt: drop last content byte
   EXPECT_FALSE(ParseTensor(s).ok());
+}
+
+// ---- Tensor fields inside frames ---------------------------------------------------
+
+TEST(TensorFrameTest, WholeBufferViewIsAdoptedSubViewIsCopied) {
+  Tensor t = Tensor::FromVector(std::vector<float>{1, 2, 3, 4});
+  auto adopted = ParseTensor(SerializeTensorView(t));
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  EXPECT_EQ(adopted->raw_data(), t.raw_data());
+
+  // A header for two floats over bytes [4, 12) of the same buffer.
+  std::string head;
+  CodedOutput co(&head);
+  co.WriteUInt64(1, static_cast<uint64_t>(DType::kF32));
+  co.WriteUInt64(2, 2);
+  co.WriteTag(3, WireType::kLengthDelimited);
+  co.WriteVarint(8);
+  auto copied = ParseTensor(PayloadRef::View(head, t.buffer(), 4, 8));
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_NE(copied->raw_data(), t.raw_data());
+  EXPECT_TRUE(copied->BitwiseEquals(
+      Tensor::FromVector(std::vector<float>{2, 3})));
+}
+
+TEST(TensorFrameTest, NamedTensorRoundTripAndEmptyNameRejected) {
+  const Tensor t = Tensor::FromVector(std::vector<double>{0.5, -1});
+  std::string out;
+  CodedOutput co(&out);
+  WriteNamedTensor(co, 1, "w", t);
+  WriteNamedTensor(co, 1, "", t);
+  CodedInput in(out);
+  uint32_t field;
+  WireType wt;
+  std::string name;
+  Tensor got;
+  ASSERT_TRUE(in.ReadTag(&field, &wt).ok());
+  ASSERT_TRUE(ReadNamedTensor(in, &name, &got).ok());
+  EXPECT_EQ(name, "w");
+  EXPECT_TRUE(got.BitwiseEquals(t));
+  ASSERT_TRUE(in.ReadTag(&field, &wt).ok());
+  name.clear();
+  EXPECT_EQ(ReadNamedTensor(in, &name, &got).code(), Code::kInvalidArgument);
+}
+
+TEST(TensorFrameTest, TensorFieldMustBeLengthDelimited) {
+  std::string head;
+  CodedOutput(&head).WriteUInt64(2, 7);
+  CodedInput in(head);
+  uint32_t field;
+  WireType wt;
+  ASSERT_TRUE(in.ReadTag(&field, &wt).ok());
+  EXPECT_EQ(ReadTensorField(in, wt).status().code(), Code::kInvalidArgument);
 }
 
 // ---- AttrValue ------------------------------------------------------------------

@@ -1,23 +1,20 @@
-// Ablation: what does the static memory planner (src/analysis/liveness.h +
-// memory_plan.h) buy at runtime? The app step graphs — an elementwise
-// chain, the CG worker step, and the FFT worker step — run with memory
-// planning on (arena execution) and off (per-output pool allocation):
+// Ablation: the static memory plan (src/analysis/liveness.h +
+// memory_plan.h) as a bound on the executor's one output-buffer path. The
+// app step graphs — an elementwise chain, the CG worker step, and the FFT
+// worker step — run through a default session, where every output is
+// either a last-use input forwarded in place or a pooled allocation:
 //
 //   - allocator traffic: allocations/step and pooled bytes/step from the
-//     device allocator stats (the planner's whole point is collapsing N
-//     per-output pool trips into one arena block);
+//     device allocator stats;
 //   - bounds: the compile-time static peak (Executable::static_peak_bytes)
 //     against the measured per-step peak from the MemoryLimiter
-//     (RunMetadata::step_peak_bytes);
-//   - safety: fetched tensors must be bitwise identical between modes.
+//     (RunMetadata::step_peak_bytes).
 //
-// The binary asserts (exit 1 on violation): plan-on strictly reduces
-// allocator calls per step on at least one workload, fetches agree
-// bitwise on every workload, and static peak >= measured peak on every
-// workload where a plan exists (plan-off sessions skip planning, so
-// only plan-on cells carry a bound). Results land in BENCH_memplan.json;
-// ci.sh runs
-// `ablation_memplan --smoke` as a gate.
+// The binary asserts (exit 1 on violation): every workload compiles with a
+// plan and its static peak >= measured peak, and runtime forwarding holds
+// chain10 to <= 2 allocations/step (the count a per-step arena reached).
+// Results land in BENCH_memplan.json; ci.sh runs `ablation_memplan
+// --smoke` as a gate.
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -51,16 +48,13 @@ struct Workload {
   std::vector<std::string> setup_targets;
 };
 
-// Per-(workload, plan mode) measurements.
+// Per-workload measurements.
 struct Cell {
   double us_per_step = 0;
   double allocs_per_step = 0;
   double pool_bytes_per_step = 0;
-  int64_t static_peak_bytes = 0;   // compile-time bound (same plan both modes)
+  int64_t static_peak_bytes = 0;   // compile-time bound
   int64_t measured_peak_bytes = 0; // max MemoryLimiter peak across steps
-  int64_t arena_bytes = 0;
-  int planned_nodes = 0;
-  std::vector<Tensor> values;      // fetched tensors, for cross-mode identity
   bool ok = false;
 };
 
@@ -73,8 +67,8 @@ Tensor RampF64(int64_t n, double scale) {
 }
 
 // A 10-stage elementwise chain over one fed vector: every intermediate is
-// arena-eligible (overwriting producer, overwriting consumers, static
-// shape), so this is the planner's best case.
+// a last-use input of an elementwise op, so all but the first stage can
+// forward in place.
 Workload BuildChain(const Scope& s, int64_t n) {
   auto x = ops::Placeholder(s, DType::kF64, Shape{n}, "x");
   auto c2 = ops::Const(s, Tensor::Scalar(2.0), "c2");
@@ -134,16 +128,13 @@ Workload BuildFft(const Scope& s, int64_t m) {
   return w;
 }
 
-Cell Measure(const std::function<Workload(const Scope&)>& build, bool plan,
-             int steps) {
+Cell Measure(const std::function<Workload(const Scope&)>& build, int steps) {
   Cell cell;
   LocalRuntime rt(/*num_gpus=*/0);
   Scope s = rt.root_scope();
   const Workload w = build(s);
 
-  SessionOptions opts;
-  opts.memory_planning = plan;
-  auto session = rt.NewSession(opts);
+  auto session = rt.NewSession();
   if (!w.setup_targets.empty()) {
     auto r = session->Run(w.setup_feeds, {}, w.setup_targets);
     if (!r.ok()) {
@@ -162,15 +153,13 @@ Cell Measure(const std::function<Workload(const Scope&)>& build, bool plan,
     return cell;
   }
   cell.static_peak_bytes = (*exe)->static_peak_bytes();
-  cell.arena_bytes = (*exe)->arena_bytes();
-  cell.planned_nodes = (*exe)->num_planned_nodes();
 
   // Arm the step limiter (ceiling never binds) so every step reports its
   // true high-water mark through RunMetadata.
   RunOptions ropts;
   ropts.step_memory_limit_bytes = int64_t{1} << 40;
 
-  // Warm run: populates the signature cache and yields the identity values.
+  // Warm run: fills the pool's free lists before counting.
   RunMetadata meta;
   auto warm = session->RunPrepared(**exe, w.feeds, ropts, &meta);
   if (!warm.ok()) {
@@ -178,7 +167,6 @@ Cell Measure(const std::function<Workload(const Scope&)>& build, bool plan,
                  warm.status().ToString().c_str());
     return cell;
   }
-  cell.values = *warm;
   cell.measured_peak_bytes = meta.step_peak_bytes;
 
   int64_t allocs0 = 0, pool0 = 0;
@@ -211,14 +199,6 @@ Cell Measure(const std::function<Workload(const Scope&)>& build, bool plan,
   return cell;
 }
 
-bool BitIdentical(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!a[i].BitwiseEquals(b[i])) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -230,8 +210,8 @@ int main(int argc, char** argv) {
   const int64_t fft_m = smoke ? 256 : 4096;
 
   bench::Header("Ablation — static memory planner",
-                "compile-time liveness + arena execution vs per-output pool "
-                "allocation on the app step graphs");
+                "compile-time static peak vs measured peak, and allocator "
+                "traffic of runtime forwarding + pool on the app step graphs");
   bench::JsonResults json("memplan");
   json.Meta("mode", smoke ? "smoke" : "full")
       .Meta("steps", static_cast<double>(steps));
@@ -246,75 +226,53 @@ int main(int argc, char** argv) {
       {"fft_worker", [&](const Scope& s) { return BuildFft(s, fft_m); }},
   };
 
+  // Runtime forwarding must hold the chain to the count a per-step arena
+  // reached (arena block + fetched output): one allocation for the first
+  // stage, whose input is the caller's feed, and one for Mul(t, t), whose
+  // operands share a buffer. Every other stage forwards its input.
+  constexpr double kChainMaxAllocsPerStep = 2.0;
+
   bool failed = false;
-  bool any_alloc_reduction = false;
-  std::printf("%-11s %-5s | %11s %9s %12s | %7s %12s %12s | %9s\n",
-              "workload", "plan", "us/step", "allocs/st", "pool B/step",
-              "planned", "static peak", "meas. peak", "identical");
+  std::printf("%-11s | %11s %9s %12s | %12s %12s\n", "workload", "us/step",
+              "allocs/st", "pool B/step", "static peak", "meas. peak");
   bench::Rule();
   for (const Entry& e : entries) {
-    Cell off = Measure(e.build, /*plan=*/false, steps);
-    Cell on = Measure(e.build, /*plan=*/true, steps);
-    if (!off.ok || !on.ok) return 1;
-    const bool identical = BitIdentical(off.values, on.values);
-    for (const auto* c : {&off, &on}) {
-      const bool is_on = c == &on;
-      std::printf(
-          "%-11s %-5s | %11.1f %9.1f %12.0f | %7d %12lld %12lld | %9s\n",
-          e.name.c_str(), is_on ? "on" : "off", c->us_per_step,
-          c->allocs_per_step, c->pool_bytes_per_step, c->planned_nodes,
-          static_cast<long long>(c->static_peak_bytes),
-          static_cast<long long>(c->measured_peak_bytes),
-          is_on ? (identical ? "yes" : "NO") : "-");
-      json.Record()
-          .Str("workload", e.name)
-          .Str("plan", is_on ? "on" : "off")
-          .Num("us_per_step", c->us_per_step)
-          .Num("allocs_per_step", c->allocs_per_step)
-          .Num("pool_bytes_per_step", c->pool_bytes_per_step)
-          .Num("planned_nodes", c->planned_nodes)
-          .Num("arena_bytes", static_cast<double>(c->arena_bytes))
-          .Num("static_peak_bytes", static_cast<double>(c->static_peak_bytes))
-          .Num("measured_peak_bytes",
-               static_cast<double>(c->measured_peak_bytes))
-          .Num("bit_identical", identical ? 1 : 0);
+    const Cell c = Measure(e.build, steps);
+    if (!c.ok) return 1;
+    std::printf("%-11s | %11.1f %9.1f %12.0f | %12lld %12lld\n",
+                e.name.c_str(), c.us_per_step, c.allocs_per_step,
+                c.pool_bytes_per_step,
+                static_cast<long long>(c.static_peak_bytes),
+                static_cast<long long>(c.measured_peak_bytes));
+    json.Record()
+        .Str("workload", e.name)
+        .Num("us_per_step", c.us_per_step)
+        .Num("allocs_per_step", c.allocs_per_step)
+        .Num("pool_bytes_per_step", c.pool_bytes_per_step)
+        .Num("static_peak_bytes", static_cast<double>(c.static_peak_bytes))
+        .Num("measured_peak_bytes",
+             static_cast<double>(c.measured_peak_bytes));
 
-      // Soundness gate: wherever a plan was computed (plan-off sessions
-      // skip planning entirely, so their static peak reads 0), the
-      // compile-time bound must dominate the measured high-water mark.
-      if (c->static_peak_bytes > 0 &&
-          c->static_peak_bytes < c->measured_peak_bytes) {
-        std::fprintf(
-            stderr, "FAIL: %s plan=%s static peak %lld < measured %lld\n",
-            e.name.c_str(), is_on ? "on" : "off",
-            static_cast<long long>(c->static_peak_bytes),
-            static_cast<long long>(c->measured_peak_bytes));
-        failed = true;
-      }
-    }
-    // Safety gate: arena execution must not perturb a single bit.
-    if (!identical) {
-      std::fprintf(stderr, "FAIL: %s fetches differ between plan modes\n",
-                   e.name.c_str());
+    // Soundness gate: every app graph compiles with a plan, and the
+    // compile-time bound dominates the measured high-water mark.
+    if (c.static_peak_bytes <= 0 ||
+        c.static_peak_bytes < c.measured_peak_bytes) {
+      std::fprintf(stderr, "FAIL: %s static peak %lld < measured %lld\n",
+                   e.name.c_str(), static_cast<long long>(c.static_peak_bytes),
+                   static_cast<long long>(c.measured_peak_bytes));
       failed = true;
     }
-    if (on.planned_nodes > 0 && on.allocs_per_step < off.allocs_per_step) {
-      any_alloc_reduction = true;
+    if (e.name == "chain10" && c.allocs_per_step > kChainMaxAllocsPerStep) {
+      std::fprintf(stderr, "FAIL: chain10 %.1f allocs/step > %.1f\n",
+                   c.allocs_per_step, kChainMaxAllocsPerStep);
+      failed = true;
     }
-    bench::Rule();
   }
-
-  // Coverage gate: the planner must pay for itself somewhere — fewer
-  // allocator calls per step on at least one app graph.
-  if (!any_alloc_reduction) {
-    std::fprintf(stderr,
-                 "FAIL: no workload reduced allocator calls with planning on\n");
-    failed = true;
-  }
+  bench::Rule();
 
   json.WriteFile("BENCH_memplan.json");
   if (failed) return 1;
   std::printf(
-      "memplan ablation: fetches bit-identical, static peak bounds hold\n");
+      "memplan ablation: static peak bounds hold, chain10 forwarding holds\n");
   return 0;
 }

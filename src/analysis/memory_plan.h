@@ -2,8 +2,10 @@
 // interval-coloring allocator assigns statically-shaped tensors to byte
 // offsets in one per-step arena, producing
 //
-//   * arena_bytes — the arena extent the executor allocates ONCE per step
-//     and carves with zero-cost views (replacing per-op pool traffic);
+//   * arena_bytes — the extent of that layout: the most bytes the planned
+//     tensors can hold at once. The executor allocates no arena (every
+//     output goes through runtime forwarding and the pool); the layout is
+//     how the bound below accounts for reuse;
 //   * static_peak_bytes — a compile-time upper bound on the step's
 //     limiter-charged footprint, sound under ANY concurrent interleaving
 //     (see the soundness note below), used by serving admission and GC018;
@@ -33,11 +35,9 @@
 // inside arena_bytes regardless of how the executor interleaves them.
 //
 // static_peak_bytes = arena_bytes + sum of statically-known bytes of every
-// non-planned, non-fed scheduled tensor. Non-planned tensors come from the
-// pool and are charged individually; summing them (no reuse assumed) keeps
-// the bound sound in both plan-on and plan-off execution. Dynamic tensors
-// (bytes unknown) are counted and reported but cannot be bounded — the plan
-// says so via dynamic_tensors > 0.
+// non-planned, non-fed scheduled tensor, summed with no reuse assumed.
+// Dynamic tensors (bytes unknown) are counted and reported but cannot be
+// bounded — the plan says so via dynamic_tensors > 0.
 #pragma once
 
 #include <cstdint>

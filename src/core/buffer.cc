@@ -313,24 +313,7 @@ std::shared_ptr<Buffer> Buffer::Allocate(size_t size, AllocatorStats* stats,
       new Buffer(p, size, capacity, stats, nullptr));
 }
 
-std::shared_ptr<Buffer> Buffer::CreateView(std::shared_ptr<Buffer> base,
-                                           size_t offset, size_t size) {
-  TFHPC_CHECK(base != nullptr) << "view of null buffer";
-  TFHPC_CHECK(offset % kAlignment == 0)
-      << "view offset " << offset << " breaks the alignment invariant";
-  TFHPC_CHECK(offset + size <= base->size_)
-      << "view [" << offset << ", " << offset + size << ") exceeds base size "
-      << base->size_;
-  void* p =
-      size == 0 ? nullptr : static_cast<char*>(base->data_) + offset;
-  auto view =
-      std::shared_ptr<Buffer>(new Buffer(p, size, 0, nullptr, nullptr));
-  view->parent_ = std::move(base);
-  return view;
-}
-
 Buffer::~Buffer() {
-  if (parent_ != nullptr) return;  // views own none of their bytes
   if (stats_ != nullptr) stats_->Sub(static_cast<int64_t>(size_));
   if (step_limiter_ != nullptr) {
     step_limiter_->Release(static_cast<int64_t>(size_));

@@ -63,9 +63,6 @@ class AllocatorStats {
     }
   }
   void RecordForward() { forwards_.fetch_add(1, std::memory_order_relaxed); }
-  // An output served from a statically pre-sized buffer (GraphCheck shape
-  // inference told the executor the exact dtype/shape before the kernel ran).
-  void RecordPresized() { presized_.fetch_add(1, std::memory_order_relaxed); }
   // An allocation that failed after the trim-and-retry dance.
   void RecordFailed() { failed_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -86,9 +83,6 @@ class AllocatorStats {
   int64_t forwards() const {
     return forwards_.load(std::memory_order_relaxed);
   }
-  int64_t presized() const {
-    return presized_.load(std::memory_order_relaxed);
-  }
   int64_t failed() const { return failed_.load(std::memory_order_relaxed); }
 
  private:
@@ -98,7 +92,6 @@ class AllocatorStats {
   std::atomic<int64_t> pool_hits_{0};
   std::atomic<int64_t> pool_bytes_{0};
   std::atomic<int64_t> forwards_{0};
-  std::atomic<int64_t> presized_{0};
   std::atomic<int64_t> failed_{0};
 };
 
@@ -306,20 +299,6 @@ class Buffer {
                                           AllocatorStats* stats = nullptr,
                                           ZeroInit zero = ZeroInit::kYes);
 
-  // A view of [offset, offset + size) inside `base`. Views own no storage:
-  // the base buffer is retained for the view's lifetime and nothing is
-  // released, accounted, or returned to the pool when the view dies — the
-  // base already carries the stats/limiter charges for all its bytes. The
-  // executor's memory-planned arena carves per-tensor views out of one
-  // per-step allocation this way. `offset` must be kAlignment-aligned so
-  // the SIMD kernels' alignment invariant holds through views.
-  static std::shared_ptr<Buffer> CreateView(std::shared_ptr<Buffer> base,
-                                            size_t offset, size_t size);
-  // True for buffers made by CreateView. Runtime forwarding must refuse
-  // views: handing a planned arena span to an unplanned output would extend
-  // its lifetime past the interval the plan proved safe.
-  bool is_view() const { return parent_ != nullptr; }
-
   ~Buffer();
   Buffer(const Buffer&) = delete;
   Buffer& operator=(const Buffer&) = delete;
@@ -357,7 +336,6 @@ class Buffer {
   size_t capacity_;  // size-class capacity handed back to the pool
   AllocatorStats* stats_;
   std::shared_ptr<MemoryLimiter> step_limiter_;  // holds `size_` reserved
-  std::shared_ptr<Buffer> parent_;  // set only on views (CreateView)
 };
 
 // SIMD-safety invariants the vectorized kernels rely on: every tensor buffer

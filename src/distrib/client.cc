@@ -60,15 +60,7 @@ Result<wire::PayloadRef> RemoteTask::Call(const std::string& method,
         }
         auto r = router_->Call(addr_, proto_, req);
         if (!r.ok()) return r.status();
-        if (r->status_code != 0) {
-          // Re-apply the wire transient bit so RetryPolicy can distinguish
-          // pool-pressure OOM (retryable) from budget breaches (permanent).
-          if (r->transient &&
-              static_cast<Code>(r->status_code) == Code::kResourceExhausted) {
-            return TransientResourceExhausted(r->status_msg);
-          }
-          return Status(static_cast<Code>(r->status_code), r->status_msg);
-        }
+        TFHPC_RETURN_IF_ERROR(r->status());
         out = std::move(r->payload);
         return Status::OK();
       },

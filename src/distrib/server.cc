@@ -370,60 +370,42 @@ Server::Server(ServerDef def, InProcessRouter* router, std::string address)
   resources_.set_remote_send([this](const std::string& addr,
                                     const std::string& key,
                                     const Tensor& tensor) -> Status {
-    wire::RpcEnvelope req;
-    req.method = "RendezvousSend";
-    req.client_id = send_client_id_;
-    req.request_id =
-        next_send_request_id_.fetch_add(1, std::memory_order_relaxed);
     // View payload: over RDMA the tensor bytes cross by buffer reference
     // (end-to-end zero-copy _Send); MPI stages them once; gRPC flattens.
-    req.payload = EncodeQueuePayload(key, &tensor, 0);
-    req.checksum = wire::PayloadChecksum(req.payload);
-    return CallWithRetry(def_.send_retry, req.request_id, [&]() -> Status {
-      TFHPC_ASSIGN_OR_RETURN(wire::RpcEnvelope resp,
-                             router_->Call(addr, def_.protocol, req));
-      if (resp.status_code != 0) {
-        Status st(static_cast<Code>(resp.status_code), resp.status_msg);
-        // Re-apply the wire transient bit (authoritative over the message).
-        if (resp.transient && st.code() == Code::kResourceExhausted) {
-          st = TransientResourceExhausted(resp.status_msg);
-        }
-        return st;
-      }
-      return Status::OK();
-    });
+    return SendToPeer(addr, "RendezvousSend",
+                      EncodeQueuePayload(key, &tensor, 0));
   });
   // Batched variant for _PackedSend: every coalesced key/tensor pair of a
-  // cross-task group crosses in ONE RendezvousSendPacked RPC. Same dedup
-  // and retry contract as the scalar path: the receiver's replay cache
-  // keyed on (client_id, request_id) answers a retried frame from the
-  // cached response instead of re-depositing.
+  // cross-task group crosses in ONE RendezvousSendPacked RPC, under the
+  // same dedup and retry contract as the scalar path.
   resources_.set_remote_send_packed(
       [this](const std::string& addr, const std::vector<std::string>& keys,
              const std::vector<Tensor>& tensors) -> Status {
         if (keys.empty() || keys.size() != tensors.size()) {
           return InvalidArgument("packed send needs matching keys/tensors");
         }
-        wire::RpcEnvelope req;
-        req.method = "RendezvousSendPacked";
-        req.client_id = send_client_id_;
-        req.request_id =
-            next_send_request_id_.fetch_add(1, std::memory_order_relaxed);
-        req.payload = EncodePackedSendPayload(keys, tensors);
-        req.checksum = wire::PayloadChecksum(req.payload);
-        return CallWithRetry(def_.send_retry, req.request_id, [&]() -> Status {
-          TFHPC_ASSIGN_OR_RETURN(wire::RpcEnvelope resp,
-                                 router_->Call(addr, def_.protocol, req));
-          if (resp.status_code != 0) {
-            Status st(static_cast<Code>(resp.status_code), resp.status_msg);
-            if (resp.transient && st.code() == Code::kResourceExhausted) {
-              st = TransientResourceExhausted(resp.status_msg);
-            }
-            return st;
-          }
-          return Status::OK();
-        });
+        return SendToPeer(addr, "RendezvousSendPacked",
+                          EncodePackedSendPayload(keys, tensors));
       });
+}
+
+Status Server::SendToPeer(const std::string& addr, const std::string& method,
+                          wire::PayloadRef payload) {
+  wire::RpcEnvelope req;
+  req.method = method;
+  req.client_id = send_client_id_;
+  req.request_id =
+      next_send_request_id_.fetch_add(1, std::memory_order_relaxed);
+  req.checksum = wire::PayloadChecksum(payload);
+  req.payload = std::move(payload);
+  // A retry reuses (client_id, request_id): the receiver's replay cache
+  // answers a resent frame from the cached response instead of
+  // re-depositing the tensors.
+  return CallWithRetry(def_.send_retry, req.request_id, [&]() -> Status {
+    TFHPC_ASSIGN_OR_RETURN(wire::RpcEnvelope resp,
+                           router_->Call(addr, def_.protocol, req));
+    return resp.status();
+  });
 }
 
 void Server::Shutdown() {
@@ -519,9 +501,7 @@ wire::RpcEnvelope Server::Handle(const wire::RpcEnvelope& request) {
   // kUnavailable from e.g. a remote send inside RunStep, or pool-pressure
   // kResourceExhausted) stay uncached so the client's retry of the same
   // request id re-runs the handler instead of replaying the stale error.
-  if (request.client_id != 0 &&
-      !IsRetryable(Status(static_cast<Code>(response.status_code),
-                          response.status_msg))) {
+  if (request.client_id != 0 && !IsRetryable(response.status())) {
     replay_cache_.Insert(request.client_id, request.request_id, response);
   }
   return response;
@@ -622,13 +602,13 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
           exe, PrepareLocked(feed_keys, req.fetches, req.targets));
     }
     // Admission control: bounded in-flight steps with per-client fairness
-    // AND a byte budget fed by the compiled step's static memory footprint.
-    // The memory planner's static peak (an upper bound sound under
-    // concurrency) is preferred; sessions compiled without a plan fall back
-    // to the older sum-of-outputs estimate (a lower bound). Excess load
-    // sheds with kUnavailable + retry-after, a queued step whose deadline
-    // fires while waiting leaves with kDeadlineExceeded, and a step whose
-    // footprint can never fit the budget is refused with permanent
+    // AND a byte budget charged with the memory planner's static peak (an
+    // upper bound sound under concurrency). A step with no bound (compiled
+    // without a plan, or only dynamically shaped tensors) is charged the
+    // whole budget and runs alone.
+    // Excess load sheds with kUnavailable + retry-after, a queued step
+    // whose deadline fires while waiting leaves with kDeadlineExceeded, and
+    // a step whose peak can never fit the budget is refused with permanent
     // kResourceExhausted. Admission sits after executable resolution so the
     // bound exists; compiling an unadmitted step is paid once per
     // signature, not per run.
@@ -636,7 +616,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     if (serving_ != nullptr) {
       const int64_t admission_bytes = exe->static_peak_bytes() > 0
                                           ? exe->static_peak_bytes()
-                                          : exe->estimated_bytes();
+                                          : def_.serving.max_estimated_bytes;
       slot.emplace(serving_.get(), std::to_string(client_id), token,
                    admission_bytes);
       TFHPC_RETURN_IF_ERROR(slot->status());

@@ -217,6 +217,12 @@ class Server {
       const std::vector<std::string>& fetches,
       const std::vector<std::string>& targets);
 
+  // The shared body of the remote_send / remote_send_packed hooks: one
+  // rendezvous RPC to the peer at `addr`, retried under def_.send_retry
+  // with this server's dedup identity.
+  Status SendToPeer(const std::string& addr, const std::string& method,
+                    wire::PayloadRef payload);
+
   ServerDef def_;
   InProcessRouter* router_;
   std::string address_;

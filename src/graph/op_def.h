@@ -22,9 +22,9 @@ struct OpDef {
   // Blocking ops (queue dequeue/enqueue on a full queue) may wait on other
   // steps; the executor gives them dedicated threads.
   bool is_blocking = false;
-  // True when every kernel for the op fully overwrites its outputs and can
-  // therefore accept statically pre-sized (uninitialized) output buffers
-  // from the analysis layer's shape inference.
+  // True when every kernel for the op fully overwrites its outputs (and
+  // retains no input buffer past the step). The memory planner's in-place
+  // and reuse rules rely on it.
   bool overwrites_outputs = false;
 };
 

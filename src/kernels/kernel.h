@@ -67,11 +67,6 @@ class OpKernelContext {
   CancellationToken* cancellation() const { return cancellation_; }
   void set_cancellation(CancellationToken* token) { cancellation_ = token; }
 
-  // Attaches a statically pre-sized output buffer (from GraphCheck shape
-  // inference). AllocateOutput(ZeroInit::kNo) hands it out when the
-  // requested dtype/shape match, skipping the allocation entirely.
-  void AddPresized(Tensor t) { presized_.push_back(std::move(t)); }
-
   // Per-step memory budget the executor armed for this step; null when the
   // step is unbudgeted. Every output allocation is charged against it.
   const std::shared_ptr<MemoryLimiter>& step_limiter() const {
@@ -94,16 +89,6 @@ class OpKernelContext {
       *out = Tensor::Meta(dtype, std::move(shape));
       return Status::OK();
     }
-    if (zero == ZeroInit::kNo) {
-      for (auto it = presized_.begin(); it != presized_.end(); ++it) {
-        if (it->dtype() == dtype && it->shape() == shape) {
-          *out = std::move(*it);
-          presized_.erase(it);
-          if (alloc_stats_ != nullptr) alloc_stats_->RecordPresized();
-          return Status::OK();
-        }
-      }
-    }
     TFHPC_ASSIGN_OR_RETURN(
         *out, Tensor::TryCreate(dtype, std::move(shape), alloc_stats_, zero,
                                 step_limiter_));
@@ -116,21 +101,16 @@ class OpKernelContext {
   // kernel, so uniqueness means no other consumer, fetch or producer cache
   // can observe the mutation. Falls back to an uninitialized pooled
   // allocation (callers overwrite every element by contract), which can fail
-  // with kResourceExhausted like AllocateOutput.
-  //
-  // Two refusals keep the static memory plan honest: arena views are never
-  // forwarded (a view handed to an unplanned output would outlive the
-  // interval the plan proved dead), and nodes the plan covers disable
-  // runtime forwarding wholesale (their aliasing decisions were made at
-  // compile time; see set_allow_forwarding).
+  // with kResourceExhausted like AllocateOutput. This is the executor's only
+  // output-buffer decision: forward in place, else allocate from the pool.
   Status ForwardOrAllocate(std::initializer_list<int> candidates, DType dtype,
                            const Shape& shape, Tensor* out) const {
-    if (!meta_exec() && allow_forwarding_) {
+    if (!meta_exec()) {
       for (int i : candidates) {
         const Tensor& in = input(i);
         if (in.is_meta() || in.dtype() != dtype || !(in.shape() == shape))
           continue;
-        if (in.buffer_unique() && !in.buffer()->is_view()) {
+        if (in.buffer_unique()) {
           if (alloc_stats_ != nullptr) alloc_stats_->RecordForward();
           *out = in;
           return Status::OK();
@@ -140,24 +120,15 @@ class OpKernelContext {
     return AllocateOutput(dtype, Shape(shape), out, ZeroInit::kNo);
   }
 
-  // The executor clears this for nodes with planned (arena) outputs: their
-  // in-place reuse, if any, is already encoded in the plan's offsets, and a
-  // runtime forward would bypass the presized arena view.
-  void set_allow_forwarding(bool allow) { allow_forwarding_ = allow; }
-
  private:
   const Node* node_;
   std::vector<Tensor> inputs_;
   std::vector<Tensor> outputs_;
-  // Pre-sized output buffers; mutable so the const allocation helpers can
-  // consume them.
-  mutable std::vector<Tensor> presized_;
   ResourceMgr* resources_;
   bool simulate_;
   AllocatorStats* alloc_stats_;
   CancellationToken* cancellation_ = nullptr;
   std::shared_ptr<MemoryLimiter> step_limiter_;
-  bool allow_forwarding_ = true;
 };
 
 class OpKernel {

@@ -144,11 +144,10 @@ Result<std::shared_ptr<const Executable>> Executor::Compile(
     const std::vector<std::string>& feed_keys,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets,
-    const StaticShapeMap* static_shapes,
     const analysis::MemoryPlan* memory_plan) {
   return CompileOn(*graph_, graph_->version(), /*use_caches=*/true,
                    /*owned_graph=*/nullptr, feed_keys, fetches, targets,
-                   static_shapes, memory_plan);
+                   memory_plan);
 }
 
 Result<std::shared_ptr<const Executable>> Executor::CompileGraph(
@@ -156,12 +155,11 @@ Result<std::shared_ptr<const Executable>> Executor::CompileGraph(
     const std::vector<std::string>& feed_keys,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets,
-    const StaticShapeMap* static_shapes,
     const analysis::MemoryPlan* memory_plan) {
   if (graph == nullptr) return InvalidArgument("CompileGraph: null graph");
   const Graph& g = *graph;
   return CompileOn(g, graph_version, /*use_caches=*/false, std::move(graph),
-                   feed_keys, fetches, targets, static_shapes, memory_plan);
+                   feed_keys, fetches, targets, memory_plan);
 }
 
 Result<std::shared_ptr<const Executable>> Executor::CompileOn(
@@ -170,7 +168,6 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
     const std::vector<std::string>& feed_keys,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets,
-    const StaticShapeMap* static_shapes,
     const analysis::MemoryPlan* memory_plan) {
   const int64_t version = graph_version;
 
@@ -266,46 +263,9 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
       TFHPC_ASSIGN_OR_RETURN(cn.device, PlaceNodeUncached(*cn.node));
       TFHPC_ASSIGN_OR_RETURN(cn.kernel, InstantiateKernel(*cn.node, cn.device));
     }
-    // Bake statically inferred output sizes for kernels that fully
-    // overwrite their outputs — Execute pre-sizes those buffers.
-    if (static_shapes != nullptr && cn.node->op_def().overwrites_outputs) {
-      auto it = static_shapes->find(cn.node->name());
-      if (it != static_shapes->end() &&
-          static_cast<int>(it->second.size()) == cn.num_outputs) {
-        cn.static_outputs = it->second;
-      }
-    }
-    // Accumulate the step's statically known output footprint; the serving
-    // layer admits steps against a byte budget using this estimate.
-    for (const auto& [dt, shp] : cn.static_outputs) {
-      exe->estimated_bytes_ +=
-          shp.num_elements() * static_cast<int64_t>(DTypeSize(dt));
-    }
-    // Bind this node's output to its arena offset when the memory plan
-    // covers it. The planner only emits single-output placements, and its
-    // byte count must match the static shape it was computed from — any
-    // disagreement (stale plan) leaves the node on the pool path.
-    if (memory_plan != nullptr && cn.num_outputs == 1 &&
-        cn.static_outputs.size() == 1) {
-      const analysis::PlannedTensor* pt =
-          memory_plan->Find(cn.node->name(), 0);
-      const auto& [dt, shp] = cn.static_outputs[0];
-      const int64_t static_bytes =
-          shp.num_elements() * static_cast<int64_t>(DTypeSize(dt));
-      if (pt != nullptr && pt->bytes == static_bytes && pt->bytes > 0) {
-        cn.planned_offset = pt->offset;
-        cn.planned_bytes = pt->bytes;
-        exe->num_planned_++;
-        if (exe->arena_device_ == nullptr) exe->arena_device_ = cn.device;
-      }
-    }
   }
   if (memory_plan != nullptr) {
     exe->static_peak_bytes_ = memory_plan->static_peak_bytes();
-    // Only pay for the arena when something actually landed in it.
-    if (exe->num_planned_ > 0) {
-      exe->arena_bytes_ = memory_plan->arena_bytes();
-    }
   }
 
   // ---- Feed/fetch bindings. ----------------------------------------------
@@ -382,25 +342,6 @@ Result<std::vector<Tensor>> Executor::Execute(
   if (options.step_memory_limit_bytes > 0) {
     step_limiter = std::make_shared<MemoryLimiter>(
         options.step_memory_limit_bytes, "step memory");
-  }
-
-  // Memory-planned steps allocate the whole arena up front — one pooled
-  // allocation (charged to the step budget by its full extent) that every
-  // planned node's output is carved out of as a zero-cost view. Failure
-  // here is a clean pre-step rejection with the usual OOM taxonomy.
-  std::shared_ptr<Buffer> arena;
-  if (exe.arena_bytes_ > 0 && !options.simulate) {
-    auto arena_or = Buffer::TryAllocate(
-        static_cast<size_t>(exe.arena_bytes_),
-        exe.arena_device_ != nullptr ? exe.arena_device_->allocator_stats()
-                                     : nullptr,
-        ZeroInit::kNo, step_limiter);
-    if (!arena_or.ok()) {
-      return Status(arena_or.status().code(),
-                    "step arena (" + std::to_string(exe.arena_bytes_) +
-                        " bytes): " + arena_or.status().message());
-    }
-    arena = std::move(*arena_or);
   }
 
   // ---- Dataflow state: flat, pre-sized, no map lookups on the hot path. --
@@ -482,36 +423,6 @@ Result<std::vector<Tensor>> Executor::Execute(
                           cn.device->allocator_stats());
       ctx.set_cancellation(token);
       ctx.set_step_limiter(step_limiter);
-      if (!options.simulate) {
-        if (cn.planned_offset >= 0 && arena != nullptr) {
-          // Planned output: a view into the step arena at the offset the
-          // plan proved dead by this node's turn. No allocation, no budget
-          // charge (the arena block carries it), and no runtime forwarding
-          // — in-place reuse, if safe, is already encoded in the offsets.
-          const auto& [dt, shp] = cn.static_outputs[0];
-          ctx.AddPresized(Tensor::FromBuffer(
-              dt, shp,
-              Buffer::CreateView(arena,
-                                 static_cast<size_t>(cn.planned_offset),
-                                 static_cast<size_t>(cn.planned_bytes))));
-          ctx.set_allow_forwarding(false);
-        } else {
-          for (const auto& [dt, shp] : cn.static_outputs) {
-            // Pre-sizing is fallible like any other step allocation: under
-            // memory pressure the node fails with kResourceExhausted and the
-            // step unwinds instead of aborting the process.
-            auto presized =
-                Tensor::TryCreate(dt, shp, cn.device->allocator_stats(),
-                                  ZeroInit::kNo, step_limiter);
-            if (!presized.ok()) {
-              status = presized.status();
-              break;
-            }
-            ctx.AddPresized(std::move(*presized));
-          }
-          if (!status.ok()) break;
-        }
-      }
       const CostEstimate cost = cn.kernel->Cost(ctx);
       if (!options.simulate) {
         status = cn.device->CheckCapacity(cost.bytes_written);
@@ -647,19 +558,6 @@ Result<std::vector<Tensor>> Executor::Execute(
   outputs.clear();
   for (Tensor& t : results) t.DetachFromAllocator();
   return results;
-}
-
-Result<std::vector<Tensor>> Executor::Run(
-    const std::map<std::string, Tensor>& feeds,
-    const std::vector<std::string>& fetches,
-    const std::vector<std::string>& targets, const RunOptions& options,
-    RunMetadata* metadata) {
-  std::vector<std::string> feed_keys;
-  feed_keys.reserve(feeds.size());
-  for (const auto& [key, tensor] : feeds) feed_keys.push_back(key);
-  TFHPC_ASSIGN_OR_RETURN(std::shared_ptr<const Executable> exe,
-                         Compile(feed_keys, fetches, targets));
-  return Execute(*exe, feeds, options, metadata);
 }
 
 }  // namespace tfhpc

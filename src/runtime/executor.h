@@ -6,9 +6,9 @@
 // instantiates kernels, and bakes the result into an immutable Executable:
 // flat vector-indexed topology, initial ready-counts and fanout tables.
 // Execute(executable, feed_tensors) is then a tight dataflow loop over
-// those tables — no per-step map lookups or graph walks. Run() is the
-// compile-and-execute convenience used by one-shot callers; Session caches
-// Executables per run signature so step loops compile once.
+// those tables — no per-step map lookups or graph walks. Session is the
+// only caller: it caches Executables per run signature so step loops
+// compile once.
 //
 // Execution is dataflow-style: an op becomes ready when all its data and
 // control inputs have completed; ready ops on distinct devices run
@@ -81,13 +81,6 @@ struct RunMetadata {
 // Renders the tfdbg-style watch list ("node (op) @device: summary").
 std::string FormatDebugReport(const RunMetadata& metadata);
 
-// Statically inferred output facts per node name, one (dtype, shape) pair
-// per output slot — produced by GraphCheck shape inference (analysis/) and
-// handed to Compile so Execute can pre-size output buffers from the pooled
-// allocator before the kernel runs.
-using StaticShapeMap =
-    std::map<std::string, std::vector<std::pair<DType, Shape>>>;
-
 // An immutable compiled step: the pruned closure in topological order with
 // placement, kernels, dependency counts and fanout baked into flat vectors.
 // Compiled once by Executor::Compile, executed many times by
@@ -106,23 +99,13 @@ class Executable {
   int num_scheduled_nodes() const { return num_scheduled_; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const std::vector<std::string>& fetches() const { return fetch_keys_; }
-  // Statically estimated output bytes for one execution of this step,
-  // summed from GraphCheck's inferred shapes (nodes without a static shape
-  // contribute nothing, so this is a lower bound). The serving layer admits
-  // steps against a byte budget using this estimate.
-  int64_t estimated_bytes() const { return estimated_bytes_; }
-
-  // Static memory plan facts (analysis/memory_plan.h), baked at compile
-  // time when Session::Prepare computed a plan. arena_bytes() is the single
-  // per-step block Execute allocates and carves with views; 0 = no plan (or
-  // nothing plannable) and every output goes through the pool.
-  int64_t arena_bytes() const { return arena_bytes_; }
-  // Compile-time upper bound on the step's limiter-charged footprint, sound
-  // under any concurrent interleaving; 0 when no plan was attached. Serving
-  // admission prefers this over estimated_bytes().
+  // Compile-time upper bound on the step's limiter-charged footprint
+  // (analysis/memory_plan.h), sound under any concurrent interleaving; 0
+  // when the step was compiled without a plan or its plan bounds no tensor
+  // (every one fed or dynamically shaped). A bound, not an allocator:
+  // Execute never reads it. Serving admission charges it against the byte
+  // budget.
   int64_t static_peak_bytes() const { return static_peak_bytes_; }
-  // Scheduled nodes whose output is served from the arena.
-  int num_planned_nodes() const { return num_planned_; }
 
  private:
   friend class Executor;
@@ -144,16 +127,6 @@ class Executable {
     // never touches the Graph during Execute (concurrent steps may race
     // with graph mutation otherwise).
     std::vector<std::string> input_names;
-    // Statically known (dtype, shape) per output slot, for ops whose
-    // kernels fully overwrite outputs; empty when unknown. Execute attaches
-    // matching pre-sized buffers to the kernel context.
-    std::vector<std::pair<DType, Shape>> static_outputs;
-    // Arena placement for this node's sole output (the planner only covers
-    // single-output nodes): byte offset into the step arena, or -1 when the
-    // output is pool-allocated. Planned nodes run with runtime forwarding
-    // disabled — their aliasing was decided at compile time.
-    int64_t planned_offset = -1;
-    int64_t planned_bytes = 0;
   };
   struct FeedBinding {
     std::string key;  // "name" or "name:slot" as the caller feeds it
@@ -178,13 +151,7 @@ class Executable {
   std::vector<std::string> fetch_keys_;
   int64_t graph_version_ = 0;
   int num_scheduled_ = 0;
-  int64_t estimated_bytes_ = 0;
-  int64_t arena_bytes_ = 0;
   int64_t static_peak_bytes_ = 0;
-  int num_planned_ = 0;
-  // Device whose allocator the arena block is attributed to (the first
-  // planned node's device); null when no plan is attached.
-  Device* arena_device_ = nullptr;
   // Set when this plan was compiled against an optimizer-rewritten graph
   // (Executor::CompileGraph): the rewritten Graph must outlive the plan's
   // Node pointers, so the plan owns it. Null for plans compiled against the
@@ -202,17 +169,12 @@ class Executor {
   // Compiles one run signature into an Executable. `feed_keys` are the names
   // ("node" or "node:slot") that Execute will supply tensors for — values
   // are not needed to compile. The signature must fetch or target at least
-  // one node. `static_shapes` (optional) carries GraphCheck's fully-known
-  // output annotations; nodes whose op declares overwrites_outputs get their
-  // output buffers pre-sized at execution time. `memory_plan` (optional)
-  // is the static memory plan computed over the same signature: planned
-  // single-output nodes are bound to arena offsets and the plan's
-  // arena/peak byte facts are baked into the Executable.
+  // one node. `memory_plan` (optional) is the static memory plan computed
+  // over the same signature; its static peak is baked into the Executable.
   Result<std::shared_ptr<const Executable>> Compile(
       const std::vector<std::string>& feed_keys,
       const std::vector<std::string>& fetches,
       const std::vector<std::string>& targets = {},
-      const StaticShapeMap* static_shapes = nullptr,
       const analysis::MemoryPlan* memory_plan = nullptr);
 
   // Compiles against `graph` instead of the session graph — the path the
@@ -227,26 +189,18 @@ class Executor {
       const std::vector<std::string>& feed_keys,
       const std::vector<std::string>& fetches,
       const std::vector<std::string>& targets = {},
-      const StaticShapeMap* static_shapes = nullptr,
       const analysis::MemoryPlan* memory_plan = nullptr);
 
   // Runs a compiled step. `feeds` must supply every feed key the executable
   // was compiled with; extra keys that were also in the compiled signature
   // but pruned from the closure are ignored. Returns fetched tensors in
-  // compile order.
+  // compile order. Every output buffer comes from the kernel itself:
+  // OpKernelContext::ForwardOrAllocate reuses a last-use input in place,
+  // anything else is a pooled allocation charged to the step budget.
   Result<std::vector<Tensor>> Execute(const Executable& executable,
                                       const std::map<std::string, Tensor>& feeds,
                                       const RunOptions& options = {},
                                       RunMetadata* metadata = nullptr);
-
-  // feeds: node or "node:slot" -> tensor, replaces the node's output.
-  // fetches: outputs to return. targets: nodes to run without fetching.
-  // Equivalent to Compile + Execute, for one-shot callers.
-  Result<std::vector<Tensor>> Run(
-      const std::map<std::string, Tensor>& feeds,
-      const std::vector<std::string>& fetches,
-      const std::vector<std::string>& targets = {},
-      const RunOptions& options = {}, RunMetadata* metadata = nullptr);
 
   // Resolved placement for one node (exposed for tests and the Session's
   // device report). Applies soft placement.
@@ -287,7 +241,6 @@ class Executor {
       const std::vector<std::string>& feed_keys,
       const std::vector<std::string>& fetches,
       const std::vector<std::string>& targets,
-      const StaticShapeMap* static_shapes,
       const analysis::MemoryPlan* memory_plan);
 };
 

@@ -36,11 +36,12 @@ struct ServingOptions {
   // Retry-after hint (ms) embedded in the kUnavailable shed status.
   int64_t retry_after_ms = 50;
   // Memory-aware admission: total estimated bytes of concurrently executing
-  // steps (from GraphCheck's inferred static shapes, see
-  // Executable::estimated_bytes). 0 = no byte budget. A step that fits the
-  // budget but not the current headroom queues like any other admission; a
-  // step whose estimate exceeds the whole budget can never run here and is
-  // rejected with *permanent* kResourceExhausted.
+  // steps. The worker charges each step its compile-time static peak
+  // (Executable::static_peak_bytes); a step with no bound (peak 0) is
+  // charged this whole budget, so it runs alone. 0 = no byte budget. A step
+  // that fits the budget but not the current headroom queues like any other
+  // admission; a step whose estimate exceeds the whole budget can never run
+  // here and is rejected with *permanent* kResourceExhausted.
   int64_t max_estimated_bytes = 0;
 };
 

@@ -115,26 +115,7 @@ Result<std::shared_ptr<const Executable>> Session::CompileSignature(
 
   // GraphCheck: static verification + shape inference for this signature's
   // closure. Strict mode fails the compile on ERROR findings; warn mode
-  // prints them. Either way, fully-known shape annotations feed Compile so
-  // the executor can pre-size output buffers.
-  StaticShapeMap static_shapes;
-  auto collect_shapes = [&static_shapes](
-                            const analysis::GraphAnalysis& analysis) {
-    for (const auto& [name, slots] : analysis.annotations) {
-      std::vector<std::pair<DType, Shape>> known;
-      known.reserve(slots.size());
-      bool all_known = !slots.empty();
-      for (const auto& t : slots) {
-        if (!t.fully_known()) {
-          all_known = false;
-          break;
-        }
-        known.emplace_back(t.dtype, t.shape.ToShape());
-      }
-      if (all_known) static_shapes.emplace(name, std::move(known));
-    }
-  };
-
+  // prints them.
   analysis::AnalysisOptions check_opts;
   check_opts.feeds = sig.feeds;
   check_opts.fetches = fetches;
@@ -144,12 +125,12 @@ Result<std::shared_ptr<const Executable>> Session::CompileSignature(
   // session graph, or the optimizer's rewrite): liveness intervals + arena
   // plan + memory lints. GC018 (static peak over the session's step budget)
   // is an ERROR — strict mode rejects here, before any kernel or allocation
-  // of the step ever runs. The plan is handed to Compile, which bakes arena
-  // offsets into the Executable.
+  // of the step ever runs. The plan is handed to Compile, which bakes its
+  // static peak into the Executable.
   std::unique_ptr<analysis::MemoryPlan> plan;
   auto build_plan = [&](const wire::GraphDef& gdef,
                         const analysis::GraphAnalysis& ga) -> Status {
-    if (!options_.memory_planning || ga.has_errors()) return Status::OK();
+    if (ga.has_errors()) return Status::OK();
     auto live = analysis::LivenessAnalysis::Compute(gdef, check_opts,
                                                     ga.annotations);
     if (!live.ok()) return Status::OK();  // structural issues: already linted
@@ -229,27 +210,20 @@ Result<std::shared_ptr<const Executable>> Session::CompileSignature(
             optimizer::OptimizerLevelName(options_.optimizer_level) + "):\n" +
             analysis::FormatDiagnostics(errors));
       }
-      collect_shapes(post);
       TFHPC_RETURN_IF_ERROR(build_plan(rewritten.graph, post));
       TFHPC_ASSIGN_OR_RETURN(std::unique_ptr<Graph> rewritten_graph,
                              Graph::FromGraphDef(rewritten.graph));
       TFHPC_ASSIGN_OR_RETURN(
           exe, executor_.CompileGraph(
                    std::shared_ptr<const Graph>(std::move(rewritten_graph)),
-                   version, sig.feeds, fetches, targets,
-                   static_shapes.empty() ? nullptr : &static_shapes,
-                   plan.get()));
+                   version, sig.feeds, fetches, targets, plan.get()));
     } else {
-      collect_shapes(analysis);
       TFHPC_RETURN_IF_ERROR(build_plan(def, analysis));
     }
   }
   if (exe == nullptr) {
     TFHPC_ASSIGN_OR_RETURN(
-        exe, executor_.Compile(sig.feeds, fetches, targets,
-                               static_shapes.empty() ? nullptr
-                                                     : &static_shapes,
-                               plan.get()));
+        exe, executor_.Compile(sig.feeds, fetches, targets, plan.get()));
   }
 
   return exe;

@@ -59,15 +59,6 @@ struct SessionOptions {
   // RunOptions does not set its own; 0 = unbudgeted. Breaches fail the step
   // with permanent kResourceExhausted (see core/buffer.h).
   int64_t step_memory_limit_bytes = 0;
-  // Static memory planning (analysis/liveness.h + memory_plan.h), run once
-  // per signature-cache miss: tensor live intervals over the compiled
-  // closure, a deterministic arena plan for statically-shaped tensors, and
-  // memory lints (GC018 budget breach — rejects in strict mode before any
-  // kernel runs; GC019 racing variable overwrite). Planned steps allocate
-  // one arena block per step instead of one pool allocation per output.
-  // Requires graph analysis: inert when graph_check is kOff and the
-  // optimizer is off.
-  bool memory_planning = true;
   // Allocator fault schedule, installed process-wide at session
   // construction when any schedule is enabled (testing/chaos only — the
   // injector is global, like the pool it torments).
@@ -129,7 +120,12 @@ class Session {
 
  private:
   // GraphCheck, the optimizer, the memory planner and Compile for one
-  // signature; no cache involvement.
+  // signature; no cache involvement. Whenever graph analysis runs (graph
+  // check on, or the optimizer on) and finds no ERROR, the static memory
+  // plan is computed over the compiled GraphDef: its memory lints (GC018
+  // budget breach — rejects in strict mode before any kernel runs; GC019
+  // racing variable overwrite) are reported and its static peak is baked
+  // into the Executable.
   Result<std::shared_ptr<const Executable>> CompileSignature(
       const RunSignature& sig);
 

@@ -593,6 +593,15 @@ Result<RegisterStepResponse> RegisterStepResponse::Parse(
 
 // ---- RpcEnvelope --------------------------------------------------------------
 
+Status RpcEnvelope::status() const {
+  if (status_code == 0) return Status::OK();
+  const Code code = static_cast<Code>(status_code);
+  if (transient && code == Code::kResourceExhausted) {
+    return TransientResourceExhausted(status_msg);
+  }
+  return Status(code, status_msg);
+}
+
 std::string RpcEnvelope::Serialize() const {
   std::string out;
   CodedOutput co(&out);

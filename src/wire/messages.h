@@ -175,6 +175,13 @@ struct RpcEnvelope {
   // server rewrites the status message.
   bool transient = false;  // field 9
 
+  // The call's outcome as a Status: OK when status_code is 0, otherwise
+  // the code and message, with the transient bit re-applied to
+  // kResourceExhausted so RetryPolicy can tell pool pressure (retryable)
+  // from a fixed-budget breach (permanent). The one decoder of the wire
+  // status fields.
+  Status status() const;
+
   std::string Serialize() const;
   static Result<RpcEnvelope> Parse(const std::string& data);
 };

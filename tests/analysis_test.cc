@@ -663,9 +663,7 @@ TEST(SessionGraphCheckTest, StrictModeAllowsCleanGraphs) {
   EXPECT_DOUBLE_EQ((*result)[0].data<double>()[0], 6.0);
 }
 
-// ---- executor pre-sizing from static shapes ---------------------------------
-
-TEST(PresizeTest, StaticallyKnownOutputsUsePresizedBuffers) {
+TEST(SessionGraphCheckTest, MatMulIntoReduceSumComputesUnderDefaultCheck) {
   LocalRuntime rt(1);
   Scope s = rt.root_scope();
   Tensor ta(DType::kF32, Shape{8, 8});
@@ -683,32 +681,6 @@ TEST(PresizeTest, StaticallyKnownOutputsUsePresizedBuffers) {
   auto result = sess->Run({}, {total.name()});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FLOAT_EQ((*result)[0].data<float>()[0], 8 * 2.0f * 64);
-
-  // MatMul and ReduceSum have fully-known output shapes, so the executor
-  // handed their kernels pre-sized buffers; the allocator counted them.
-  int64_t presized = 0;
-  for (const auto& d : rt.devices().devices()) {
-    presized += d->allocator_stats()->presized();
-  }
-  EXPECT_GE(presized, 2);
-}
-
-TEST(PresizeTest, GraphCheckOffDisablesPresizing) {
-  LocalRuntime rt(1);
-  Scope s = rt.root_scope();
-  auto a = ops::Const(s, Tensor(DType::kF32, Shape{4, 4}));
-  auto b = ops::Const(s, Tensor(DType::kF32, Shape{4, 4}));
-  auto mm = ops::MatMul(s, a, b);
-
-  SessionOptions opts;
-  opts.graph_check = GraphCheckMode::kOff;
-  auto sess = rt.NewSession(opts);
-  ASSERT_TRUE(sess->Run({}, {mm.name()}).ok());
-  int64_t presized = 0;
-  for (const auto& d : rt.devices().devices()) {
-    presized += d->allocator_stats()->presized();
-  }
-  EXPECT_EQ(presized, 0);
 }
 
 // ---- application graphs pass the verifier -----------------------------------

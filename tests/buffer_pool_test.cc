@@ -308,5 +308,40 @@ TEST(BufferForwardTest, ChainedElementwiseStepsComputeCorrectly) {
   }
 }
 
+TEST(BufferForwardTest, StaticShapeChainAllocatesOncePerStep) {
+  // Every shape here is static, so the memory planner covers the chain; the
+  // executor still decides buffers at run time only. Mul cannot forward (x
+  // is the caller's feed, and both operands share it), so it allocates;
+  // Neg and Sqrt each receive the sole reference to their input and
+  // forward it in place. One pooled allocation per step, no more.
+  LocalRuntime rt(0);
+  Scope s = rt.root_scope();
+  auto x = ops::Placeholder(s, DType::kF64, Shape{256}, "x");
+  auto out = ops::Sqrt(s, ops::Neg(s, ops::Mul(s, x, x)));
+  auto sess = rt.NewSession();
+  const std::map<std::string, Tensor> feeds = {
+      {"x", Tensor::FromVector(std::vector<double>(256, 3.0))}};
+
+  auto traffic = [&rt] {
+    std::pair<int64_t, int64_t> allocs_forwards{0, 0};
+    for (const auto& d : rt.devices().devices()) {
+      allocs_forwards.first += d->allocator_stats()->allocs();
+      allocs_forwards.second += d->allocator_stats()->forwards();
+    }
+    return allocs_forwards;
+  };
+  ASSERT_TRUE(sess->Run(feeds, {out.name()}).ok());  // warm: compile + pool
+  const auto before = traffic();
+  constexpr int kSteps = 8;
+  for (int i = 0; i < kSteps; ++i) {
+    auto r = sess->Run(feeds, {out.name()});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ((*r)[0].shape(), Shape{256});
+  }
+  const auto after = traffic();
+  EXPECT_EQ(after.first - before.first, 1 * kSteps) << "allocations";
+  EXPECT_EQ(after.second - before.second, 2 * kSteps) << "forwards";
+}
+
 }  // namespace
 }  // namespace tfhpc

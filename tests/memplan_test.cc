@@ -255,44 +255,6 @@ TEST(MemoryLintTest, GC019RacingVariableOverwrite) {
 
 // ---- runtime wiring ---------------------------------------------------------
 
-TEST(MemplanRuntimeTest, ArenaExecutionBitIdenticalToPool) {
-  LocalRuntime rt(0);
-  Scope s = rt.root_scope();
-  auto x = ops::Placeholder(s, DType::kF64, Shape{64}, "x");
-  auto a = ops::Add(s, x, x);
-  auto b = ops::Mul(s, a, a);
-  auto c = ops::Sqrt(s, b);
-  auto d = ops::Sub(s, c, a);
-
-  SessionOptions planned_opts;
-  planned_opts.memory_planning = true;
-  SessionOptions pool_opts;
-  pool_opts.memory_planning = false;
-  auto planned = rt.NewSession(planned_opts);
-  auto pooled = rt.NewSession(pool_opts);
-
-  // The planned session must actually compile an arena (otherwise this test
-  // compares pool against pool).
-  auto exe = planned->Prepare({"x"}, {d.name()});
-  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
-  EXPECT_GT((*exe)->num_planned_nodes(), 0);
-  EXPECT_GT((*exe)->arena_bytes(), 0);
-  EXPECT_GT((*exe)->static_peak_bytes(), 0);
-
-  std::vector<double> input(64);
-  for (size_t i = 0; i < input.size(); ++i) {
-    input[i] = 0.25 * static_cast<double>(i) + 1.0;
-  }
-  const std::map<std::string, Tensor> feeds = {
-      {"x", Tensor::FromVector(input)}};
-  auto r1 = planned->Run(feeds, {d.name()});
-  auto r2 = pooled->Run(feeds, {d.name()});
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  ASSERT_EQ(r1->size(), 1u);
-  EXPECT_TRUE((*r1)[0].BitwiseEquals((*r2)[0]));
-}
-
 TEST(MemplanRuntimeTest, StaticPeakCoversMeasuredPeak) {
   LocalRuntime rt(0);
   Scope s = rt.root_scope();

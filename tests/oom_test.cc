@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -494,6 +495,157 @@ TEST(OomServingTest, ByteBudgetQueuesUntilHeadroomReturns) {
   EXPECT_EQ(ctl.stats().inflight_bytes, 0);
   EXPECT_EQ(ctl.stats().inflight, 0);
   EXPECT_EQ(ctl.stats().completed, 2);
+}
+
+// ---- serving: a worker admits RunSteps by their static peak -------------------
+
+class OomServerAdmissionTest : public ::testing::Test {
+ protected:
+  // A worker at `addr` with two execution slots (slots never bind here)
+  // and a byte budget of `budget` bytes.
+  std::unique_ptr<Server> StartServer(const std::string& addr,
+                                      int64_t budget) {
+    wire::ClusterDef def;
+    wire::JobDef worker;
+    worker.name = "worker";
+    worker.task_addrs = {addr};
+    def.jobs = {worker};
+    auto spec = ClusterSpec::Create(def).value();
+    ServerDef sdef{spec, "worker", 0, 0};
+    sdef.max_inflight_steps = 2;
+    sdef.serving.max_estimated_bytes = budget;
+    auto server = Server::Create(sdef, &router_).value();
+    EXPECT_TRUE(RemoteTask(&router_, addr, WireProtocol::kRdma)
+                    .ExtendGraph(graph_.ToGraphDef())
+                    .ok());
+    return server;
+  }
+
+  // The static peak the worker computes for a signature.
+  static int64_t StaticPeak(Server& server,
+                            const std::vector<std::string>& fetches,
+                            const std::vector<std::string>& targets = {}) {
+    auto exe = server.session().Prepare({}, fetches, targets);
+    EXPECT_TRUE(exe.ok()) << exe.status().ToString();
+    return exe.ok() ? (*exe)->static_peak_bytes() : -1;
+  }
+
+  // Polls `pred` for up to 10 s; false on timeout, so a regression fails
+  // the test instead of hanging it.
+  static bool WaitFor(const std::function<bool()>& pred) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!pred()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  InProcessRouter router_;
+  Graph graph_;
+};
+
+TEST_F(OomServerAdmissionTest, StaticPeakAboveBudgetIsRefusedPermanently) {
+  Scope s(&graph_);
+  auto x = ops::Const(s, Tensor::FromVector(std::vector<double>(512, 1.5)));
+  auto y = ops::Add(s, x, x);
+  int64_t peak = 0;
+  {
+    auto probe = StartServer("adm-probe:1", 0);
+    peak = StaticPeak(*probe, {y.name()});
+    probe->Shutdown();
+  }
+  ASSERT_GT(peak, 0);
+
+  auto tight = StartServer("adm-tight:1", peak - 1);
+  auto r = RemoteTask(&router_, "adm-tight:1", WireProtocol::kRdma)
+               .RunStep({}, {y.name()});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kResourceExhausted) << r.status().ToString();
+  EXPECT_FALSE(IsTransientResourceExhausted(r.status()))
+      << "a step whose static peak can never fit must not be retried";
+  EXPECT_EQ(tight->serving_stats().rejected_oversize, 1);
+  EXPECT_EQ(tight->serving_stats().admitted, 0);
+  tight->Shutdown();
+
+  auto exact = StartServer("adm-exact:1", peak);
+  auto ok = RemoteTask(&router_, "adm-exact:1", WireProtocol::kRdma)
+                .RunStep({}, {y.name()});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_DOUBLE_EQ((*ok)[0].data<double>()[511], 3.0);
+  EXPECT_EQ(exact->serving_stats().rejected_oversize, 0);
+  EXPECT_EQ(exact->serving_stats().completed, 1);
+  exact->Shutdown();
+}
+
+TEST_F(OomServerAdmissionTest, UnplannedStepWaitsForThePlannedStepInFlight) {
+  // Planned step: a statically shaped Add plus a _Recv that parks the step
+  // in flight until the test sends its gate tensor.
+  Scope s(&graph_);
+  auto c = ops::Const(s, Tensor::FromVector(std::vector<double>(64, 2.0)));
+  auto sum = ops::Add(s, c, c);
+  auto gate = ops::Recv(s, "adm_bytes_gate");
+  constexpr int64_t kBudget = 1 << 20;
+  auto server = StartServer("adm-queue:1", kBudget);
+  const int64_t planned_peak = StaticPeak(*server, {sum.name(), gate.name()});
+  ASSERT_GT(planned_peak, 0);
+  ASSERT_LT(planned_peak, kBudget);
+
+  Status planned_status, unplanned_status;
+  std::thread planned([&] {
+    auto token = CancellationToken::WithTimeout(10000);
+    planned_status = RemoteTask(&router_, "adm-queue:1", WireProtocol::kRdma)
+                         .RunStep({}, {sum.name(), gate.name()}, {}, false,
+                                  token.get())
+                         .status();
+  });
+  EXPECT_TRUE(WaitFor([&] { return server->serving_stats().inflight == 1; }));
+
+  // Unplanned step: an Assign whose `var` names no Variable node. GraphCheck
+  // reports GC016 (an ERROR) and the default warn mode still runs it, but
+  // no memory plan is computed while the graph has errors. It is added only
+  // now because GC016 is a whole-graph lint: added earlier, it would have
+  // left the parked step unplanned too.
+  Graph extra;
+  Scope xs(&extra);
+  auto seed = ops::Const(xs, Tensor::FromVector(std::vector<double>(4, 1.0)),
+                         "stray_seed");
+  Node* stray = xs.AddNode("Assign", {seed.name()},
+                           {{"var", wire::AttrValue::Str("no_such_var")}},
+                           "stray_assign");
+  EXPECT_TRUE(RemoteTask(&router_, "adm-queue:1", WireProtocol::kRdma)
+                  .ExtendGraph(extra.ToGraphDef())
+                  .ok());
+  EXPECT_EQ(StaticPeak(*server, {}, {stray->name()}), 0);
+
+  // A slot is free, but the unplanned step is charged the whole budget and
+  // the planned step holds part of it: the unplanned step must queue.
+  std::thread unplanned([&] {
+    auto token = CancellationToken::WithTimeout(10000);
+    unplanned_status =
+        RemoteTask(&router_, "adm-queue:1", WireProtocol::kRdma)
+            .RunStep({}, {}, {stray->name()}, false, token.get())
+            .status();
+  });
+  EXPECT_TRUE(WaitFor([&] { return server->serving_stats().queued == 1; }))
+      << "the unplanned step was admitted beside the planned one";
+  EXPECT_EQ(server->serving_stats().inflight, 1);
+  EXPECT_EQ(server->serving_stats().inflight_bytes, planned_peak);
+
+  EXPECT_TRUE(RemoteTask(&router_, "adm-queue:1", WireProtocol::kRdma)
+                  .RendezvousSend("adm_bytes_gate", Tensor::Scalar(1.0))
+                  .ok());
+  planned.join();
+  unplanned.join();
+  EXPECT_TRUE(planned_status.ok()) << planned_status.ToString();
+  EXPECT_TRUE(unplanned_status.ok()) << unplanned_status.ToString();
+  const ServingStats stats = server->serving_stats();
+  EXPECT_EQ(stats.admitted, 2);
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.rejected_oversize, 0);
+  EXPECT_EQ(stats.inflight_bytes, 0);
+  server->Shutdown();
 }
 
 // ---- distributed: OOM as a wire status, step retry recovers ------------------

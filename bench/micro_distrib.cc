@@ -4,13 +4,16 @@
 // the machine model's step_overhead_s abstracts.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <thread>
 
 #include "apps/allreduce.h"
+#include "core/buffer.h"
 #include "distrib/barrier.h"
 #include "distrib/dist_session.h"
 #include "distrib/server.h"
 #include "graph/ops.h"
+#include "wire/payload.h"
 
 namespace tfhpc::distrib {
 namespace {
@@ -48,6 +51,30 @@ BENCHMARK(BM_RemoteVarAssignAdd)
     ->Args({1 << 10, 2})
     ->Args({1 << 18, 0})
     ->Args({1 << 18, 2});
+
+// Envelope checksum throughput (CRC32C), outside any transport: range(0) is
+// the payload size, range(1) 0 for inline bytes and 1 for a view whose
+// content sits in a tensor buffer behind a short head.
+void BM_PayloadChecksum(benchmark::State& state) {
+  const auto size = static_cast<size_t>(state.range(0));
+  std::string bytes(size, '\0');
+  for (size_t i = 0; i < size; ++i) bytes[i] = static_cast<char>(i * 131 + 7);
+  wire::PayloadRef payload(bytes);
+  if (state.range(1) != 0) {
+    constexpr size_t kHead = 16;
+    auto buffer = Buffer::Allocate(size - kHead);
+    std::memcpy(buffer->data(), bytes.data() + kHead, size - kHead);
+    payload = wire::PayloadRef::View(bytes.substr(0, kHead), std::move(buffer),
+                                     0, size - kHead);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::PayloadChecksum(payload));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(size));
+  state.SetLabel(payload.is_view() ? "view" : "inline");
+}
+BENCHMARK(BM_PayloadChecksum)
+    ->ArgsProduct({{64, 4 << 10, 1 << 20}, {0, 1}});
 
 void BM_RemoteRunStep(benchmark::State& state) {
   MiniCluster c;

@@ -358,6 +358,10 @@ class GraphChecker {
 
   // GC012 (variable read with no initializer anywhere) and GC016 (Assign /
   // AssignAdd bound to a variable on another job/task, or to no variable).
+  // An initializer anywhere in the graph counts for GC012 (init steps are
+  // usually separate signatures), but GC016 is reported only for writers
+  // the step schedules: a bad writer elsewhere in the graph must not put
+  // an ERROR on — and so cost the memory plan of — every unrelated step.
   void LintVariables() {
     std::set<std::string> initialized;  // var names with an assign in graph
     for (size_t i = 0; i < nodes_.size(); ++i) {
@@ -370,6 +374,7 @@ class GraphChecker {
       }
       const std::string& var = it->second.s;
       initialized.insert(var);
+      if (!Scheduled(i)) continue;
 
       auto target = by_name_.find(var);
       if (target == by_name_.end()) {

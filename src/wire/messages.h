@@ -159,8 +159,9 @@ struct RpcEnvelope {
   // call: retried sends reuse the pair so servers can deduplicate
   // non-idempotent ops. client_id == 0 means "no dedup" (legacy callers).
   uint64_t client_id = 0;  // field 6
-  // FNV-1a of payload, set by clients so servers can reject frames corrupted
-  // in flight with a retryable error. 0 means "unchecked".
+  // wire::PayloadChecksum of payload: CRC32C with a presence bit (bit 32),
+  // set by senders so servers can reject frames corrupted in flight with a
+  // retryable error. A stamped checksum is never 0; 0 means "unchecked".
   uint64_t checksum = 0;  // field 7
   // Absolute steady-clock deadline (ns since clock epoch) for this call;
   // 0 = none. Absolute works because the in-process cluster shares one

@@ -89,10 +89,24 @@ class PayloadRef {
   size_t len_ = 0;
 };
 
-// FNV-1a 64-bit — the RpcEnvelope::checksum function. The PayloadRef form
-// hashes head then view, so it equals PayloadChecksum(p.Flatten()) without
+// CRC32C (Castagnoli) — the RpcEnvelope::checksum function. The result is
+// the standard CRC32C of the bytes (init and final XOR 0xFFFFFFFF) with bit
+// 32 set as a presence bit, so it is never 0: a stamped frame — even an
+// empty one — is always verified. The PayloadRef form streams over head
+// then view, so it equals PayloadChecksum(p.Flatten()) without
 // materializing the copy.
 uint64_t PayloadChecksum(const std::string& data);
 uint64_t PayloadChecksum(const PayloadRef& p);
+
+// Raw CRC32C register updates behind PayloadChecksum, exposed so tests can
+// check each path against the other. `crc` is the running register (no
+// init or final XOR). The SSE4.2 path must only be called on a CPU that
+// has it; PayloadChecksum selects it at runtime.
+namespace internal {
+uint32_t Crc32cPortable(uint32_t crc, const uint8_t* data, size_t size);
+#if defined(__x86_64__)
+uint32_t Crc32cSse42(uint32_t crc, const uint8_t* data, size_t size);
+#endif
+}  // namespace internal
 
 }  // namespace tfhpc::wire

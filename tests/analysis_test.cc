@@ -523,6 +523,32 @@ TEST(GraphCheckLintTest, GC016AssignTargetMustBeCoLocatedVariable) {
   EXPECT_EQ(Find(VerifyGraph(ok).diagnostics, "GC016"), nullptr);
 }
 
+TEST(GraphCheckLintTest, GC016OnlyForWritersTheStepSchedules) {
+  wire::GraphDef def;
+  def.nodes.push_back(Typed(MakeNode("v", "Variable"), DType::kF64, Shape{8}));
+  def.nodes.push_back(
+      Typed(MakeNode("zero", "Placeholder"), DType::kF64, Shape{8}));
+  def.nodes.push_back(MakeNode("init", "Assign", {"zero"},
+                               {{"var", wire::AttrValue::Str("v")}}));
+  def.nodes.push_back(MakeNode("stray", "Assign", {"zero"},
+                               {{"var", wire::AttrValue::Str("gone")}}));
+  def.nodes.push_back(MakeNode("read", "Identity", {"v"}));
+
+  // Whole graph: the stray writer is reported.
+  EXPECT_NE(Find(VerifyGraph(def).diagnostics, "GC016"), nullptr);
+  // A step whose closure holds the stray writer: still reported.
+  const GraphAnalysis writes = VerifyGraph(def, {{"zero"}, {}, {"stray"}});
+  const Diagnostic* d = Find(writes.diagnostics, "GC016");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->node, "stray");
+  // An unrelated step is clean, and the out-of-closure `init` still counts
+  // as v's initializer (no GC012).
+  const GraphAnalysis reads = VerifyGraph(def, {{}, {"read"}, {}});
+  EXPECT_EQ(Find(reads.diagnostics, "GC016"), nullptr);
+  EXPECT_EQ(Find(reads.diagnostics, "GC012"), nullptr);
+  EXPECT_FALSE(reads.has_errors());
+}
+
 // ---- partition-plan verification (GC015) ------------------------------------
 
 wire::NodeDef SendNode(const std::string& name, const std::string& key,

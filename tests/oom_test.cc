@@ -603,10 +603,9 @@ TEST_F(OomServerAdmissionTest, UnplannedStepWaitsForThePlannedStepInFlight) {
   EXPECT_TRUE(WaitFor([&] { return server->serving_stats().inflight == 1; }));
 
   // Unplanned step: an Assign whose `var` names no Variable node. GraphCheck
-  // reports GC016 (an ERROR) and the default warn mode still runs it, but
-  // no memory plan is computed while the graph has errors. It is added only
-  // now because GC016 is a whole-graph lint: added earlier, it would have
-  // left the parked step unplanned too.
+  // reports GC016 (an ERROR) on the step that schedules it and the default
+  // warn mode still runs it, but no memory plan is computed while the step
+  // has errors.
   Graph extra;
   Scope xs(&extra);
   auto seed = ops::Const(xs, Tensor::FromVector(std::vector<double>(4, 1.0)),
@@ -644,6 +643,65 @@ TEST_F(OomServerAdmissionTest, UnplannedStepWaitsForThePlannedStepInFlight) {
   EXPECT_EQ(stats.admitted, 2);
   EXPECT_EQ(stats.completed, 2);
   EXPECT_EQ(stats.rejected_oversize, 0);
+  EXPECT_EQ(stats.inflight_bytes, 0);
+  server->Shutdown();
+}
+
+TEST_F(OomServerAdmissionTest, StrayWriterLeavesUnrelatedStepsPlanned) {
+  // The bad Assign (GC016: its `var` names no Variable) is in the graph
+  // before any step compiles. Only a step that schedules it loses its plan.
+  Scope s(&graph_);
+  auto seed = ops::Const(s, Tensor::FromVector(std::vector<double>(4, 1.0)),
+                         "stray_seed");
+  Node* stray = s.AddNode("Assign", {seed.name()},
+                          {{"var", wire::AttrValue::Str("no_such_var")}},
+                          "stray_assign");
+  auto c = ops::Const(s, Tensor::FromVector(std::vector<double>(64, 2.0)));
+  auto sum = ops::Add(s, c, c);
+  auto gate = ops::Recv(s, "adm_stray_gate");
+  auto product = ops::Mul(s, c, c);
+  constexpr int64_t kBudget = 1 << 20;
+  auto server = StartServer("adm-stray:1", kBudget);
+  EXPECT_EQ(StaticPeak(*server, {}, {stray->name()}), 0);
+  const int64_t parked_peak = StaticPeak(*server, {sum.name(), gate.name()});
+  const int64_t product_peak = StaticPeak(*server, {product.name()});
+  ASSERT_GT(parked_peak, 0);
+  ASSERT_GT(product_peak, 0);
+  ASSERT_LE(parked_peak + product_peak, kBudget);
+
+  Status parked_status;
+  std::thread parked([&] {
+    auto token = CancellationToken::WithTimeout(10000);
+    parked_status = RemoteTask(&router_, "adm-stray:1", WireProtocol::kRdma)
+                        .RunStep({}, {sum.name(), gate.name()}, {}, false,
+                                 token.get())
+                        .status();
+  });
+  EXPECT_TRUE(WaitFor([&] { return server->serving_stats().inflight == 1; }));
+  EXPECT_EQ(server->serving_stats().inflight_bytes, parked_peak);
+
+  // A second planned step is admitted beside the parked one and finishes
+  // while it is still in flight. Had the parked step been charged the whole
+  // budget, this one would queue until its deadline.
+  auto token = CancellationToken::WithTimeout(5000);
+  auto r = RemoteTask(&router_, "adm-stray:1", WireProtocol::kRdma)
+               .RunStep({}, {product.name()}, {}, false, token.get());
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (r.ok()) {
+    EXPECT_DOUBLE_EQ((*r)[0].data<double>()[63], 4.0);
+  }
+  EXPECT_EQ(server->serving_stats().inflight, 1);
+  EXPECT_EQ(server->serving_stats().completed, 1);
+
+  EXPECT_TRUE(RemoteTask(&router_, "adm-stray:1", WireProtocol::kRdma)
+                  .RendezvousSend("adm_stray_gate", Tensor::Scalar(1.0))
+                  .ok());
+  parked.join();
+  EXPECT_TRUE(parked_status.ok()) << parked_status.ToString();
+  const ServingStats stats = server->serving_stats();
+  EXPECT_EQ(stats.admitted, 2);
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.queued, 0);
   EXPECT_EQ(stats.inflight_bytes, 0);
   server->Shutdown();
 }

@@ -1,8 +1,14 @@
 // Unit tests for the protobuf wire format subset and message schemas.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <vector>
+
+#include "core/buffer.h"
 #include "wire/coded.h"
 #include "wire/messages.h"
+#include "wire/payload.h"
 
 namespace tfhpc::wire {
 namespace {
@@ -451,6 +457,124 @@ TEST(RegisterStepTest, ResponseNegativeVersionSurvivesZigZag) {
   auto r = RegisterStepResponse::Parse(resp.Serialize());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->graph_version, -7);
+}
+
+// ---- Envelope checksum (CRC32C + presence bit) -------------------------------
+
+constexpr uint64_t kPresent = uint64_t{1} << 32;
+
+// Bit-at-a-time CRC32C register update: the definition both fast paths must
+// reproduce.
+uint32_t ReferenceCrc32c(uint32_t crc, const uint8_t* data, size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<uint8_t> v(n);
+  for (auto& b : v) b = static_cast<uint8_t>(rng());
+  return v;
+}
+
+// A view payload: `head` inline, then `content` in a buffer at offset
+// `offset`, with the view ending exactly at the buffer's end.
+PayloadRef MakeView(std::string head, const uint8_t* content, size_t len,
+                    size_t offset) {
+  auto buf = Buffer::Allocate(offset + len);
+  std::memcpy(static_cast<uint8_t*>(buf->data()) + offset, content, len);
+  return PayloadRef::View(std::move(head), std::move(buf), offset, len);
+}
+
+TEST(PayloadChecksumTest, KnownAnswerVectors) {
+  // CRC32C check value (init and final XOR 0xFFFFFFFF) plus the presence bit.
+  EXPECT_EQ(PayloadChecksum(std::string("123456789")),
+            kPresent | 0xE3069283u);
+  // iSCSI test patterns (RFC 3720, B.4).
+  EXPECT_EQ(PayloadChecksum(std::string(32, '\0')), kPresent | 0x8A9136AAu);
+  EXPECT_EQ(PayloadChecksum(std::string(32, '\xff')), kPresent | 0x62A8AB43u);
+  std::string ascending(32, '\0'), descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[static_cast<size_t>(i)] = static_cast<char>(i);
+    descending[static_cast<size_t>(i)] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(PayloadChecksum(ascending), kPresent | 0x46DD794Eu);
+  EXPECT_EQ(PayloadChecksum(descending), kPresent | 0x113FDB5Cu);
+}
+
+TEST(PayloadChecksumTest, EmptyPayloadIsStampedNonZero) {
+  // CRC32C("") is 0; the presence bit keeps an empty frame verified.
+  EXPECT_EQ(PayloadChecksum(std::string()), kPresent);
+  EXPECT_EQ(PayloadChecksum(PayloadRef()), kPresent);
+  EXPECT_NE(PayloadChecksum(PayloadRef()), 0u);
+}
+
+TEST(PayloadChecksumTest, HeadViewSplitEqualsFlattened) {
+  const std::vector<uint8_t> bytes = RandomBytes(41, 7);
+  const std::string flat(bytes.begin(), bytes.end());
+  const uint64_t want = PayloadChecksum(flat);
+  for (size_t split = 0; split <= 17; ++split) {
+    for (size_t offset : {size_t{0}, size_t{3}}) {  // aligned and unaligned
+      PayloadRef p = MakeView(flat.substr(0, split), bytes.data() + split,
+                              bytes.size() - split, offset);
+      ASSERT_TRUE(p.is_view());
+      EXPECT_EQ(p.Flatten(), flat);
+      EXPECT_EQ(PayloadChecksum(p), want)
+          << "split " << split << " offset " << offset;
+    }
+  }
+}
+
+TEST(PayloadChecksumTest, PortablePathMatchesReference) {
+  const std::vector<uint8_t> bytes = RandomBytes(300, 11);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len + offset <= bytes.size(); len += 13) {
+      EXPECT_EQ(internal::Crc32cPortable(0xFFFFFFFFu, bytes.data() + offset,
+                                         len),
+                ReferenceCrc32c(0xFFFFFFFFu, bytes.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(PayloadChecksumTest, HardwarePathMatchesPortable) {
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("sse4.2")) GTEST_SKIP() << "no SSE4.2";
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<size_t> length(0, 70000);
+  for (int round = 0; round < 64; ++round) {
+    const size_t offset = rng() % 8;
+    const size_t len = round < 16 ? static_cast<size_t>(round) : length(rng);
+    // Sized exactly, so a read past the end is a heap overflow under ASan.
+    const std::vector<uint8_t> bytes =
+        RandomBytes(offset + len, static_cast<uint32_t>(round));
+    const auto crc = static_cast<uint32_t>(rng());
+    EXPECT_EQ(internal::Crc32cSse42(crc, bytes.data() + offset, len),
+              internal::Crc32cPortable(crc, bytes.data() + offset, len))
+        << "offset " << offset << " len " << len;
+  }
+#else
+  GTEST_SKIP() << "no hardware CRC32C path on this architecture";
+#endif
+}
+
+TEST(PayloadChecksumTest, SingleByteFlipInOneMiBFrameIsDetected) {
+  const std::vector<uint8_t> content = RandomBytes(1 << 20, 5);
+  const PayloadRef frame =
+      MakeView("frame-head", content.data(), content.size(), 0);
+  const uint64_t sent = PayloadChecksum(frame);
+  for (size_t index : {size_t{0}, frame.size() / 2, frame.size() - 1}) {
+    PayloadRef corrupted = frame;
+    corrupted.CorruptByteForTest(index);
+    EXPECT_NE(PayloadChecksum(corrupted), sent) << "flip at " << index;
+  }
+  // Corruption detaches, so the sender's frame still hashes as sent.
+  EXPECT_EQ(PayloadChecksum(frame), sent);
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ double MaxDiffVsNaive(int64_t n) {
   std::vector<T> a(static_cast<size_t>(n * n)), b(static_cast<size_t>(n * n)),
       c(static_cast<size_t>(n * n));
   FillOperands(a, b);
-  tfhpc::blas::Gemm(a.data(), b.data(), c.data(), n, n, n);
+  TFHPC_CHECK(tfhpc::blas::Gemm(a.data(), b.data(), c.data(), n, n, n).ok());
   double md = 0;
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = 0; j < n; ++j) {
@@ -126,8 +126,9 @@ void RunDtype(const char* dtype, const std::vector<int64_t>& sizes,
           reps);
       const double g_packed = BestGflops(
           [&] {
-            tfhpc::blas::Gemm(a.data(), b.data(), c.data(), n, n, n,
-                              /*beta_zero=*/true, &pool);
+            TFHPC_CHECK(tfhpc::blas::Gemm(a.data(), b.data(), c.data(), n,
+                                          n, n, /*beta_zero=*/true, &pool)
+                            .ok());
           },
           n, reps);
       const double speedup = g_packed / g_loop;

@@ -67,6 +67,12 @@ Row RunOnce(double probability, int row_id) {
   def.jobs = {workers};
   auto cluster = ClusterSpec::Create(def).value();
 
+  // Built before the server arms the process-wide injector: this is bench
+  // setup, which may CHECK its allocations, so it must not be injected.
+  // Released before the residual measurement below, so only genuinely
+  // leaked bytes survive the trim.
+  Tensor feed = Tensor::FromVector(std::vector<double>(8192, 1.5));
+
   InProcessRouter router;
   ServerDef sdef{cluster, "worker", 0, 0};
   // Seeded, size-class-filtered schedule: only tensor-sized allocations
@@ -93,9 +99,6 @@ Row RunOnce(double probability, int row_id) {
 
   const auto start = std::chrono::steady_clock::now();
   {
-    // Scoped so the feed (one 64 KB pooled buffer) dies before the residual
-    // measurement — only genuinely leaked bytes survive the trim below.
-    const Tensor feed = Tensor::FromVector(std::vector<double>(8192, 1.5));
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
@@ -131,6 +134,7 @@ Row RunOnce(double probability, int row_id) {
     }
     for (auto& t : clients) t.join();
   }
+  feed = Tensor();
   row.elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::steady_clock::now() - start)
                        .count();

@@ -62,7 +62,7 @@ void BM_PayloadChecksum(benchmark::State& state) {
   wire::PayloadRef payload(bytes);
   if (state.range(1) != 0) {
     constexpr size_t kHead = 16;
-    auto buffer = Buffer::Allocate(size - kHead);
+    auto buffer = Buffer::TryAllocate(size - kHead).value();
     std::memcpy(buffer->data(), bytes.data() + kHead, size - kHead);
     payload = wire::PayloadRef::View(bytes.substr(0, kHead), std::move(buffer),
                                      0, size - kHead);

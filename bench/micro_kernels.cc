@@ -22,7 +22,7 @@ void BM_GemmF32(benchmark::State& state) {
   std::vector<float> b(static_cast<size_t>(n * n), 2.0f);
   std::vector<float> c(static_cast<size_t>(n * n));
   for (auto _ : state) {
-    blas::Gemm(a.data(), b.data(), c.data(), n, n, n);
+    TFHPC_CHECK(blas::Gemm(a.data(), b.data(), c.data(), n, n, n).ok());
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFlops"] = benchmark::Counter(
@@ -37,7 +37,7 @@ void BM_GemmF64(benchmark::State& state) {
   std::vector<double> b(static_cast<size_t>(n * n), 2.0);
   std::vector<double> c(static_cast<size_t>(n * n));
   for (auto _ : state) {
-    blas::Gemm(a.data(), b.data(), c.data(), n, n, n);
+    TFHPC_CHECK(blas::Gemm(a.data(), b.data(), c.data(), n, n, n).ok());
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFlops"] = benchmark::Counter(
@@ -165,14 +165,14 @@ void BM_SpdMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_SpdMatrix)->Arg(128)->Arg(512);
 
-// Pooled allocator: steady-state Allocate/free recycles one size class, so
+// Pooled allocator: steady-state TryAllocate/free recycles one size class, so
 // the pool-hit path (free-list pop, no memset) is what's measured; the
 // ZeroInit::kYes variant adds back the memset for comparison.
 void BM_PooledAlloc(benchmark::State& state) {
   const size_t bytes = static_cast<size_t>(state.range(0));
   const ZeroInit zero = state.range(1) != 0 ? ZeroInit::kYes : ZeroInit::kNo;
   for (auto _ : state) {
-    auto buf = Buffer::Allocate(bytes, nullptr, zero);
+    auto buf = Buffer::TryAllocate(bytes, nullptr, zero).value();
     benchmark::DoNotOptimize(buf->data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));

@@ -135,13 +135,14 @@ echo "==== tier 2: ThreadSanitizer smoke ===="
 # ASan over the zero-copy data path: pooled buffer recycling, payload views
 # holding buffer references across transport/server boundaries, in-place
 # kernel forwarding — exactly the code where a lifetime bug would be a
-# use-after-free rather than a test failure — and the word-at-a-time
-# envelope checksum, where a tail loop that overran a view would be a heap
-# overflow. The full-suite sweep stays in the nightly
+# use-after-free rather than a test failure — the word-at-a-time envelope
+# checksum, where a tail loop that overran a view would be a heap overflow,
+# and the .npy decoder, which parses outside input and would overrun a
+# truncated data section. The full-suite sweep stays in the nightly
 # `scripts/sanitize.sh both`.
 echo "==== tier 3: AddressSanitizer smoke ===="
 "$repo/scripts/sanitize.sh" address \
-  'BufferPool|BufferForward|TensorBuffer|Transport|ServerTest|Checkpoint|WireTensor|PayloadChecksum|Oom|Fused|Coalesce'
+  'BufferPool|BufferForward|TensorBuffer|Transport|ServerTest|Checkpoint|WireTensor|PayloadChecksum|Npy|Oom|Fused|Coalesce'
 
 # OOM-injection smoke: the multi-client distributed workload under an
 # injected allocator fault schedule, on the instrumented build. The binary
@@ -154,12 +155,12 @@ echo "==== tier 3b: OOM-injection smoke (ablation_oom under ASan) ===="
 echo "==== OOM smoke: contract held, zero leaks ===="
 
 # UBSan over the numeric kernels and the static-analysis layer: shape
-# arithmetic, wire varint decoding, the word-at-a-time envelope checksum and
-# kernel index math are where a signed overflow or misaligned access would
-# hide.
+# arithmetic (including the .npy header's), wire varint decoding, the
+# word-at-a-time envelope checksum and kernel index math are where a signed
+# overflow or misaligned access would hide.
 echo "==== tier 4: UndefinedBehaviorSanitizer smoke ===="
 "$repo/scripts/sanitize.sh" undefined \
-  'Kernels|ArrayKernels|GraphCheck|ShapeInference|Wire|PayloadChecksum|CoreTest|Optimizer|Fused'
+  'Kernels|ArrayKernels|GraphCheck|ShapeInference|Wire|PayloadChecksum|Npy|CoreTest|Optimizer|Fused'
 
 # clang-tidy (checks pinned in .clang-tidy, including bugprone-* and
 # concurrency-*) over the analysis, optimizer and runtime subsystems and

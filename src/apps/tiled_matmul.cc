@@ -316,8 +316,9 @@ Result<TiledMatmulResult> RunTiledMatmulFunctional(
       }
     }
     Tensor ref(DType::kF32, Shape{n, n});
-    blas::Gemm(a.data<float>().data(), b.data<float>().data(),
-               ref.mutable_data<float>(), n, n, n);
+    TFHPC_RETURN_IF_ERROR(blas::Gemm(a.data<float>().data(),
+                                     b.data<float>().data(),
+                                     ref.mutable_data<float>(), n, n, n));
     const auto got = c.data<float>();
     const auto want = ref.data<float>();
     for (int64_t e = 0; e < n * n; ++e) {

@@ -18,8 +18,8 @@ size_t RoundUpPow2(size_t v) {
 }
 
 // Runtime counterpart of the alignment static_asserts in buffer.h: every
-// block TryAcquire hands out (fresh, cached, or oversized — Acquire funnels
-// through here too) must be safe for 64-byte SIMD loads.
+// block TryAcquire hands out (fresh, cached, or oversized) must be safe for
+// 64-byte SIMD loads.
 void CheckAligned(const void* p) {
   TFHPC_CHECK(reinterpret_cast<uintptr_t>(p) % Buffer::kAlignment == 0)
       << "BufferPool produced a misaligned block";
@@ -188,18 +188,6 @@ Status BufferPool::TryAcquire(size_t size, void** out, size_t* capacity,
   return Status::OK();
 }
 
-void* BufferPool::Acquire(size_t size, size_t* capacity, bool* pool_hit) {
-  void* p = nullptr;
-  Status st = TryAcquire(size, &p, capacity, pool_hit);
-  if (!st.ok()) {
-    // Legacy infallible contract: trim once, then die loudly.
-    Trim();
-    st = TryAcquire(size, &p, capacity, pool_hit);
-  }
-  TFHPC_CHECK(st.ok()) << st.ToString();
-  return p;
-}
-
 void BufferPool::Release(void* ptr, size_t capacity) {
   if (ptr == nullptr) return;
   if (capacity <= kMaxPooledBytes) {
@@ -292,25 +280,6 @@ Result<std::shared_ptr<Buffer>> Buffer::TryAllocate(
   if (stats != nullptr) stats->Add(static_cast<int64_t>(size));
   return std::shared_ptr<Buffer>(
       new Buffer(p, size, capacity, stats, std::move(step_limiter)));
-}
-
-std::shared_ptr<Buffer> Buffer::Allocate(size_t size, AllocatorStats* stats,
-                                         ZeroInit zero) {
-  void* p = nullptr;
-  size_t capacity = 0;
-  if (size > 0) {
-    // Infallible path: BufferPool::Acquire CHECKs on failure and the fault
-    // injector is never consulted (no step to unwind here).
-    bool pool_hit = false;
-    p = BufferPool::Global().Acquire(size, &capacity, &pool_hit);
-    if (zero == ZeroInit::kYes) std::memset(p, 0, size);
-    if (stats != nullptr) {
-      stats->RecordAlloc(pool_hit, static_cast<int64_t>(capacity));
-    }
-  }
-  if (stats != nullptr) stats->Add(static_cast<int64_t>(size));
-  return std::shared_ptr<Buffer>(
-      new Buffer(p, size, capacity, stats, nullptr));
 }
 
 Buffer::~Buffer() {

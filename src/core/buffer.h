@@ -4,14 +4,17 @@
 // a device allocator so simulated-GPU devices can account memory capacity the
 // way real device allocators do.
 //
-// Memory pressure is a first-class, recoverable condition here: allocation
-// has a fallible Status-returning path (Buffer::TryAllocate) guarded by a
-// budget hierarchy (process-wide MemoryLimiter charged by real size-class
-// capacity inside the pool, optional per-step MemoryLimiter charged by
-// nominal tensor bytes) and a seeded AllocFaultInjector for testing. On
-// budget breach or a real aligned_alloc failure the pool is Trim()med once
-// and the allocation retried; only then does it fail — cleanly, with
-// kResourceExhausted, never a process abort.
+// Memory pressure is a first-class, recoverable condition here: there is one
+// allocation body, Buffer::TryAllocate over BufferPool::TryAcquire, and it
+// returns a Status. It is guarded by a budget hierarchy (process-wide
+// MemoryLimiter charged by real size-class capacity inside the pool,
+// optional per-step MemoryLimiter charged by nominal tensor bytes) and a
+// seeded AllocFaultInjector that sees every allocation. On budget breach or
+// a real aligned_alloc failure the pool is Trim()med once and the
+// allocation retried; only then does it fail — cleanly, with
+// kResourceExhausted. Code that owns no step (app setup, tests, benches) may
+// CHECK the result through the Tensor convenience constructors; nothing
+// inside a step or an RPC handler may.
 #pragma once
 
 #include <atomic>
@@ -168,11 +171,12 @@ struct AllocFaultSpec {
   }
 };
 
-// Process-wide injector consulted by Buffer::TryAllocate (the fallible path
-// only — legacy CHECK-on-failure callers are never injected, so injection
-// can only produce clean kResourceExhausted failures, never an abort).
-// Injected failures model pool pressure: they participate in the same
-// trim-once-and-retry loop as real aligned_alloc failures.
+// Process-wide injector consulted by Buffer::TryAllocate, the one allocation
+// body, so every allocation in the process is injectable. Injected failures
+// model pool pressure: they participate in the same trim-once-and-retry loop
+// as real aligned_alloc failures and surface as transient kResourceExhausted.
+// Step and RPC-handler code passes that status up; an abort under injection
+// means some code that owns a step CHECKed an allocation.
 class AllocFaultInjector {
  public:
   static AllocFaultInjector& Global();
@@ -208,7 +212,7 @@ class AllocFaultInjector {
 
 // Process-wide size-class pool in front of aligned_alloc. Freed blocks up to
 // kMaxPooledBytes are cached on power-of-two free lists and handed back on
-// the next matching Acquire; larger blocks bypass the pool entirely. Cached
+// the next matching TryAcquire; larger blocks bypass the pool entirely. Cached
 // (idle) bytes are bounded by a cap so the pool cannot hoard memory — beyond
 // the cap, Release frees to the OS. Cached blocks are *not* attributed to any
 // device's AllocatorStats: device live_bytes tracks tensors actually alive,
@@ -224,20 +228,15 @@ class BufferPool {
 
   static BufferPool& Global();
 
-  // Fallible acquire: an aligned block of at least `size` bytes and its
+  // The only acquire: an aligned block of at least `size` bytes and its
   // actual capacity (the size class). pool_hit reports whether it came from
   // a free list (no OS allocation, no implicit zeroing, no new budget
   // charge). Fails with kResourceExhausted when the process MemoryLimiter
   // refuses the capacity or aligned_alloc itself returns null; the caller
-  // owns the trim-and-retry policy.
+  // (Buffer::TryAllocate) owns the trim-and-retry policy.
   Status TryAcquire(size_t size, void** out, size_t* capacity, bool* pool_hit);
 
-  // Legacy infallible acquire: crashes the process on failure. Kept for
-  // callers outside any step (startup constants, test scaffolding); all
-  // step-execution paths go through TryAcquire via Buffer::TryAllocate.
-  void* Acquire(size_t size, size_t* capacity, bool* pool_hit);
-
-  // Returns a block of `capacity` bytes (as reported by Acquire) to the
+  // Returns a block of `capacity` bytes (as reported by TryAcquire) to the
   // pool, or to the OS when the class is full / the cache cap is reached.
   void Release(void* ptr, size_t capacity);
 
@@ -276,7 +275,7 @@ class Buffer {
  public:
   static constexpr size_t kAlignment = 64;
 
-  // Fallible allocation of `size` bytes — the step-execution path. Order of
+  // Allocation of `size` bytes — the only allocation body. Order of
   // charging: the per-step limiter (when given) is reserved by nominal
   // `size` first; then the pool acquires capacity under the process
   // limiter, with fault injection and one Trim()-and-retry on failure.
@@ -291,13 +290,6 @@ class Buffer {
       size_t size, AllocatorStats* stats = nullptr,
       ZeroInit zero = ZeroInit::kYes,
       std::shared_ptr<MemoryLimiter> step_limiter = nullptr);
-
-  // Infallible allocation: crashes on failure, never consults the fault
-  // injector. For callers with no step to unwind (graph constants, wire
-  // staging outside a step, tests).
-  static std::shared_ptr<Buffer> Allocate(size_t size,
-                                          AllocatorStats* stats = nullptr,
-                                          ZeroInit zero = ZeroInit::kYes);
 
   ~Buffer();
   Buffer(const Buffer&) = delete;
@@ -339,7 +331,7 @@ class Buffer {
 };
 
 // SIMD-safety invariants the vectorized kernels rely on: every tensor buffer
-// (pooled class, oversized bypass, either allocation path) is 64-byte
+// (pooled class or oversized bypass) is 64-byte
 // aligned. aligned_alloc requires size % alignment == 0, which holds because
 // size classes are powers of two >= kMinClassBytes and the oversized path
 // rounds up to a kAlignment multiple — these asserts pin the constants that

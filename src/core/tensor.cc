@@ -5,18 +5,7 @@
 namespace tfhpc {
 
 Tensor::Tensor(DType dtype, Shape shape, AllocatorStats* stats)
-    : dtype_(dtype), shape_(std::move(shape)) {
-  buffer_ = Buffer::Allocate(static_cast<size_t>(bytes()), stats);
-}
-
-Tensor Tensor::Uninitialized(DType dtype, Shape shape, AllocatorStats* stats) {
-  Tensor t;
-  t.dtype_ = dtype;
-  t.shape_ = std::move(shape);
-  t.buffer_ =
-      Buffer::Allocate(static_cast<size_t>(t.bytes()), stats, ZeroInit::kNo);
-  return t;
-}
+    : Tensor(TryCreate(dtype, std::move(shape), stats).value()) {}
 
 Result<Tensor> Tensor::TryCreate(DType dtype, Shape shape,
                                  AllocatorStats* stats, ZeroInit zero,
@@ -59,27 +48,33 @@ const void* Tensor::raw_data() const {
   return buffer_->data();
 }
 
-void Tensor::DetachFromAllocator() {
-  if (buffer_ == nullptr || buffer_->stats() == nullptr) return;
+Status Tensor::DetachFromAllocator() {
+  if (buffer_ == nullptr || buffer_->stats() == nullptr) return Status::OK();
   if (buffer_.use_count() == 1) {
     buffer_->DetachStats();
-    return;
+    return Status::OK();
   }
-  auto copy = Buffer::Allocate(buffer_->size(), nullptr, ZeroInit::kNo);
+  TFHPC_ASSIGN_OR_RETURN(
+      std::shared_ptr<Buffer> copy,
+      Buffer::TryAllocate(buffer_->size(), nullptr, ZeroInit::kNo));
   if (buffer_->size() > 0) {
     std::memcpy(copy->data(), buffer_->data(), buffer_->size());
   }
   buffer_ = std::move(copy);
+  return Status::OK();
 }
 
-Tensor Tensor::Clone() const {
+Result<Tensor> Tensor::TryClone() const {
   if (is_meta()) return Meta(dtype_, shape_);
   // Attribute the copy to the same allocator as the source so deep copies
   // (variable accumulation, snapshots) stay visible to device accounting.
-  Tensor t = Uninitialized(dtype_, shape_, buffer_->stats());
+  TFHPC_ASSIGN_OR_RETURN(
+      Tensor t, TryCreate(dtype_, shape_, buffer_->stats(), ZeroInit::kNo));
   std::memcpy(t.raw_data(), raw_data(), static_cast<size_t>(bytes()));
   return t;
 }
+
+Tensor Tensor::Clone() const { return TryClone().value(); }
 
 bool Tensor::BitwiseEquals(const Tensor& other) const {
   if (dtype_ != other.dtype_ || shape_ != other.shape_) return false;

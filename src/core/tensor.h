@@ -23,20 +23,18 @@ class Tensor {
   // Invalid/empty tensor.
   Tensor() = default;
 
-  // Allocates zeroed storage of the given dtype/shape.
+  // Allocates zeroed storage of the given dtype/shape. CHECKs that the
+  // allocation succeeded: for code that owns no step (app setup, tests,
+  // benches). Code inside a step or an RPC handler calls TryCreate.
   Tensor(DType dtype, Shape shape, AllocatorStats* stats = nullptr);
 
-  // Allocates storage without zero-filling it; the caller must overwrite
-  // every element (gemm/FFT outputs, recv staging, parse targets).
-  static Tensor Uninitialized(DType dtype, Shape shape,
-                              AllocatorStats* stats = nullptr);
-
-  // Fallible allocation — the step-execution path. Storage comes from
-  // Buffer::TryAllocate: charged against the optional per-step limiter,
-  // subject to fault injection and the pool's trim-once-retry, failing with
-  // kResourceExhausted (transient or permanent, see core/buffer.h) instead
-  // of crashing. Kernels and the executor use this so a mid-step OOM
-  // unwinds the step cleanly.
+  // The tensor allocation. Storage comes from Buffer::TryAllocate: charged
+  // against the optional per-step limiter, subject to fault injection and
+  // the pool's trim-once-retry, failing with kResourceExhausted (transient
+  // or permanent, see core/buffer.h) instead of crashing, so a mid-step OOM
+  // unwinds the step cleanly. ZeroInit::kNo skips the zero-fill when the
+  // caller overwrites every element (gemm/FFT outputs, recv staging, parse
+  // targets).
   static Result<Tensor> TryCreate(
       DType dtype, Shape shape, AllocatorStats* stats = nullptr,
       ZeroInit zero = ZeroInit::kYes,
@@ -51,20 +49,19 @@ class Tensor {
   // nominal storage size so cost accounting works.
   static Tensor Meta(DType dtype, Shape shape);
 
-  // 0-d tensor holding one value.
+  // 0-d tensor holding one value. CHECKs the allocation, like the
+  // constructor.
   template <typename T>
   static Tensor Scalar(T value) {
-    Tensor t(kDTypeOf<T>, Shape{});
+    Tensor t = TryCreate(kDTypeOf<T>, Shape{}, nullptr, ZeroInit::kNo).value();
     *t.mutable_data<T>() = value;
     return t;
   }
 
-  // 1-d tensor copied from a vector.
+  // 1-d tensor copied from a vector. CHECKs the allocation.
   template <typename T>
   static Tensor FromVector(const std::vector<T>& v) {
-    Tensor t(kDTypeOf<T>, Shape{static_cast<int64_t>(v.size())});
-    std::memcpy(t.raw_data(), v.data(), v.size() * sizeof(T));
-    return t;
+    return FromVector(Shape{static_cast<int64_t>(v.size())}, v);
   }
 
   // Tensor of given shape copied from a flat row-major vector.
@@ -97,8 +94,9 @@ class Tensor {
   // buffer's sole owner; otherwise the buffer still aliases device-resident
   // state (a variable, another consumer) and the tensor is repointed at an
   // unattributed private copy — the moral equivalent of a device-to-host
-  // fetch copy. Called wherever tensors cross a user-facing boundary.
-  void DetachFromAllocator();
+  // fetch copy. That copy can fail with kResourceExhausted, leaving the
+  // tensor unchanged. Called wherever tensors cross a user-facing boundary.
+  Status DetachFromAllocator();
 
   // Typed flat views; dtype-checked.
   template <typename T>
@@ -135,7 +133,10 @@ class Tensor {
     return data<T>()[static_cast<size_t>(r * shape_.dim(1) + c)];
   }
 
-  // Deep copy.
+  // Deep copy, attributed to the source's allocator (meta tensors copy as
+  // meta). Fails with the allocator's kResourceExhausted.
+  Result<Tensor> TryClone() const;
+  // TryClone that CHECKs the allocation.
   Tensor Clone() const;
 
   // Same dtype+shape and bitwise-equal contents (meta tensors compare by
@@ -163,7 +164,8 @@ class Tensor {
 template <typename T>
 Tensor Tensor::FromVector(Shape shape, const std::vector<T>& v) {
   TFHPC_CHECK_EQ(shape.num_elements(), static_cast<int64_t>(v.size()));
-  Tensor t(kDTypeOf<T>, std::move(shape));
+  Tensor t =
+      TryCreate(kDTypeOf<T>, std::move(shape), nullptr, ZeroInit::kNo).value();
   std::memcpy(t.raw_data(), v.data(), v.size() * sizeof(T));
   return t;
 }

@@ -97,7 +97,7 @@ Result<Tensor> RemoteTask::Dequeue(const std::string& queue, int64_t capacity,
   // sever any server-device allocator attribution before the tensor escapes
   // to the caller (who may outlive the server).
   payload = wire::PayloadRef();
-  t.DetachFromAllocator();
+  TFHPC_RETURN_IF_ERROR(t.DetachFromAllocator());
   return t;
 }
 
@@ -129,7 +129,7 @@ Result<Tensor> RemoteTask::VarRead(const std::string& var) {
   // still shared) so the result neither aliases mutable server state nor
   // keeps a pointer into the server device's allocator accounting.
   payload = wire::PayloadRef();
-  t.DetachFromAllocator();
+  TFHPC_RETURN_IF_ERROR(t.DetachFromAllocator());
   return t;
 }
 

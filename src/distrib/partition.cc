@@ -113,8 +113,11 @@ Result<PartitionResult> PartitionGraph(const Graph& graph,
           token.name = "_token/" + producer->name() + "/" + recv_name;
           token.op = "Const";
           token.device = producer->def().device;
-          token.attrs["value"] = wire::AttrValue::Str(
-              wire::SerializeTensor(Tensor::Scalar<int64_t>(0)));
+          // Fallible: re-partitioning runs inside a recovering step.
+          TFHPC_ASSIGN_OR_RETURN(Tensor zero,
+                                 Tensor::TryCreate(DType::kI64, Shape{}));
+          token.attrs["value"] =
+              wire::AttrValue::Str(wire::SerializeTensor(zero));
           token.attrs["dtype"] = wire::AttrValue::Type(DType::kI64);
           token.inputs = {"^" + producer->name()};
           wire::NodeDef send;

@@ -25,6 +25,13 @@
 //   VarRestore  — payload: named tensor map; bulk-restores variables
 //   RendezvousSend — payload: key + tensor; deposits into this task's
 //                    rendezvous (the receiving half of a cross-task _Send)
+//   RendezvousSendPacked — payload: key/tensor pairs of one coalesced
+//                    _PackedSend group; deposits each into the rendezvous
+//   AbortStep   — payload: optional reason; poisons the rendezvous until
+//                 ResetStep and fails every queue waiter with kCancelled
+//                 (queues stay open)
+//   ResetStep   — empty payload; clears a poisoned rendezvous for the
+//                 next step
 //
 // Exactly-once under retries/duplication: requests carrying a non-zero
 // client_id are deduplicated on (client_id, request_id) — a replayed

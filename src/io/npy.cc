@@ -1,5 +1,6 @@
 #include "io/npy.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -161,14 +162,30 @@ Result<Tensor> DecodeNpy(const std::string& bytes) {
   }
   TFHPC_ASSIGN_OR_RETURN(std::vector<int64_t> dims, ParseShapeTuple(shape_tok));
 
-  Tensor t(dtype, Shape(std::move(dims)));
+  // The header is outside input: bound the shape before Shape::num_elements()
+  // can abort on it, and check the data section is all there before
+  // allocating for it.
+  const int64_t item = static_cast<int64_t>(DTypeSize(dtype));
+  int64_t elements = 1;
+  for (int64_t d : dims) {
+    if (d < 0) {
+      return InvalidArgument("npy: negative dimension in " + shape_tok);
+    }
+    if (d != 0 && elements > INT64_MAX / item / d) {
+      return InvalidArgument("npy: shape " + shape_tok + " overflows int64");
+    }
+    elements *= d;
+  }
+  const size_t data_bytes = static_cast<size_t>(elements * item);
   const size_t data_off = header_off + header_len;
-  if (bytes.size() - data_off < static_cast<size_t>(t.bytes())) {
+  if (bytes.size() - data_off < data_bytes) {
     return InvalidArgument("npy: truncated data section");
   }
-  if (t.bytes() > 0) {
-    std::memcpy(t.raw_data(), bytes.data() + data_off,
-                static_cast<size_t>(t.bytes()));
+  TFHPC_ASSIGN_OR_RETURN(Tensor t,
+                         Tensor::TryCreate(dtype, Shape(std::move(dims)),
+                                           nullptr, ZeroInit::kNo));
+  if (data_bytes > 0) {
+    std::memcpy(t.raw_data(), bytes.data() + data_off, data_bytes);
   }
   return t;
 }

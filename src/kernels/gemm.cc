@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 
 #include "core/buffer.h"
 #include "core/threadpool.h"
@@ -160,20 +161,21 @@ void Micro(int64_t kc, const T* ap, const T* bp, T* c, int64_t ldc, int64_t mr,
 #endif  // TFHPC_GEMM_VEC
 
 template <typename T>
-void GemmImpl(const T* a, const T* b, T* c, int64_t m, int64_t n, int64_t k,
-              bool beta_zero, ThreadPool* pool) {
+Status GemmImpl(const T* a, const T* b, T* c, int64_t m, int64_t n, int64_t k,
+                bool beta_zero, ThreadPool* pool) {
   constexpr int MR = Tile<T>::MR, NR = Tile<T>::NR;
   if (beta_zero) std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(T));
-  if (m == 0 || n == 0 || k == 0) return;
+  if (m == 0 || n == 0 || k == 0) return Status::OK();
   if (pool == nullptr) pool = &ThreadPool::Global();
 
   // Packing scratch comes from the buffer pool (ZeroInit::kNo — fully
   // written by the pack routines). Bounded: B panel <= KC*NC elements plus
-  // one MC*KC A block per concurrent task. Uses the infallible pool path;
-  // these are small fixed-size blocks, not tensor-scale allocations.
+  // one MC*KC A block per concurrent task. Either allocation can fail under
+  // memory pressure; the step then unwinds with the pool's status.
   const size_t bp_bytes =
       static_cast<size_t>(kKc * RoundUp(std::min(kNc, n), NR)) * sizeof(T);
-  auto bp_buf = Buffer::Allocate(bp_bytes, nullptr, ZeroInit::kNo);
+  TFHPC_ASSIGN_OR_RETURN(std::shared_ptr<Buffer> bp_buf,
+                         Buffer::TryAllocate(bp_bytes, nullptr, ZeroInit::kNo));
   T* bp = static_cast<T*>(bp_buf->data());
   const size_t ap_bytes =
       static_cast<size_t>(RoundUp(std::min(kMc, m), MR) * kKc) * sizeof(T);
@@ -189,9 +191,17 @@ void GemmImpl(const T* a, const T* b, T* c, int64_t m, int64_t n, int64_t k,
           static_cast<double>(nc) * static_cast<double>(kc);
       const int64_t grain = std::max<int64_t>(
           1, static_cast<int64_t>(kMinFlopsPerTask / flops_per_block));
+      std::mutex error_mu;
+      Status first_error;
       pool->ParallelFor(row_blocks, grain, [&](int64_t blk0, int64_t blk1) {
-        auto ap_buf = Buffer::Allocate(ap_bytes, nullptr, ZeroInit::kNo);
-        T* ap = static_cast<T*>(ap_buf->data());
+        auto ap_buf = Buffer::TryAllocate(ap_bytes, nullptr, ZeroInit::kNo);
+        if (!ap_buf.ok()) {
+          // Skip this task's blocks; the join below reports the failure.
+          std::lock_guard<std::mutex> lk(error_mu);
+          if (first_error.ok()) first_error = ap_buf.status();
+          return;
+        }
+        T* ap = static_cast<T*>((*ap_buf)->data());
         for (int64_t blk = blk0; blk < blk1; ++blk) {
           const int64_t ic = blk * kMc;
           const int64_t mc = std::min(m, ic + kMc) - ic;
@@ -206,8 +216,10 @@ void GemmImpl(const T* a, const T* b, T* c, int64_t m, int64_t n, int64_t k,
           }
         }
       });
+      if (!first_error.ok()) return first_error;
     }
   }
+  return Status::OK();
 }
 
 // Row dot product with independent accumulators collapsed by a fixed-order
@@ -239,13 +251,13 @@ void GemvImpl(const T* a, const T* x, T* y, int64_t m, int64_t n) {
 
 }  // namespace
 
-void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
-          int64_t k, bool beta_zero, ThreadPool* pool) {
-  GemmImpl(a, b, c, m, n, k, beta_zero, pool);
+Status Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
+            int64_t k, bool beta_zero, ThreadPool* pool) {
+  return GemmImpl(a, b, c, m, n, k, beta_zero, pool);
 }
-void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t n,
-          int64_t k, bool beta_zero, ThreadPool* pool) {
-  GemmImpl(a, b, c, m, n, k, beta_zero, pool);
+Status Gemm(const double* a, const double* b, double* c, int64_t m, int64_t n,
+            int64_t k, bool beta_zero, ThreadPool* pool) {
+  return GemmImpl(a, b, c, m, n, k, beta_zero, pool);
 }
 void Gemv(const double* a, const double* x, double* y, int64_t m, int64_t n) {
   GemvImpl(a, x, y, m, n);

@@ -13,6 +13,8 @@
 
 #include <cstdint>
 
+#include "core/status.h"
+
 namespace tfhpc {
 class ThreadPool;
 }  // namespace tfhpc
@@ -22,10 +24,12 @@ namespace tfhpc::blas {
 // C(m x n) += A(m x k) * B(k x n), row-major. `beta_zero` first clears C.
 // `pool` overrides the thread pool used for row-block parallelism (nullptr =
 // the global pool); the ablation bench uses this for its threads axis.
-void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
-          int64_t k, bool beta_zero = true, ThreadPool* pool = nullptr);
-void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t n,
-          int64_t k, bool beta_zero = true, ThreadPool* pool = nullptr);
+// Fails with the buffer pool's kResourceExhausted when the packing scratch
+// cannot be allocated; C's contents are then unspecified.
+Status Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
+            int64_t k, bool beta_zero = true, ThreadPool* pool = nullptr);
+Status Gemm(const double* a, const double* b, double* c, int64_t m, int64_t n,
+            int64_t k, bool beta_zero = true, ThreadPool* pool = nullptr);
 
 // y(m) = A(m x n) * x(n), row-major. Rows are reduced with multiple
 // independent accumulators; the ParallelFor grain adapts to the row length so

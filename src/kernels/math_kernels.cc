@@ -314,11 +314,13 @@ class MatMulKernel : public OpKernel {
         ctx->AllocateOutput(a.dtype(), Shape{m, n}, &out, ZeroInit::kNo));
     if (!ctx->meta_exec()) {
       if (a.dtype() == DType::kF32) {
-        blas::Gemm(a.data<float>().data(), b.data<float>().data(),
-                   out.mutable_data<float>(), m, n, k);
+        TFHPC_RETURN_IF_ERROR(blas::Gemm(a.data<float>().data(),
+                                         b.data<float>().data(),
+                                         out.mutable_data<float>(), m, n, k));
       } else if (a.dtype() == DType::kF64) {
-        blas::Gemm(a.data<double>().data(), b.data<double>().data(),
-                   out.mutable_data<double>(), m, n, k);
+        TFHPC_RETURN_IF_ERROR(blas::Gemm(a.data<double>().data(),
+                                         b.data<double>().data(),
+                                         out.mutable_data<double>(), m, n, k));
       } else {
         return Unimplemented("MatMul for dtype " +
                              std::string(DTypeName(a.dtype())));

@@ -556,7 +556,7 @@ Result<std::vector<Tensor>> Executor::Execute(
   // detach in place; anything still aliasing device-resident state (a
   // variable, a duplicated fetch) gets an unattributed copy instead.
   outputs.clear();
-  for (Tensor& t : results) t.DetachFromAllocator();
+  for (Tensor& t : results) TFHPC_RETURN_IF_ERROR(t.DetachFromAllocator());
   return results;
 }
 

@@ -159,7 +159,7 @@ void Variable::Write(Tensor t) {
 Result<Tensor> Variable::Accumulate(const Tensor& delta) {
   std::lock_guard<std::mutex> lk(mu_);
   if (!value_.valid()) {
-    value_ = delta.Clone();
+    TFHPC_ASSIGN_OR_RETURN(value_, delta.TryClone());
     return value_;
   }
   if (value_.dtype() != delta.dtype() || value_.shape() != delta.shape()) {
@@ -172,7 +172,9 @@ Result<Tensor> Variable::Accumulate(const Tensor& delta) {
     return value_;
   }
   // In-place add into a private clone (readers hold shallow snapshots).
-  Tensor next = value_.Clone();
+  // Accumulation runs inside steps and VarWrite handlers, so the clone is
+  // the fallible one.
+  TFHPC_ASSIGN_OR_RETURN(Tensor next, value_.TryClone());
   const int64_t n = next.num_elements();
   switch (next.dtype()) {
     case DType::kF32: {

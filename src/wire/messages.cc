@@ -127,8 +127,11 @@ Result<Tensor> ParseTensorMessage(const void* head, size_t size,
     return Tensor::FromBuffer(dtype, std::move(shape), frame->buffer());
   }
   // The content overwrites every element, so skip the zero-fill and let the
-  // pool hand back a recycled block.
-  Tensor t = Tensor::Uninitialized(dtype, std::move(shape));
+  // pool hand back a recycled block. The staging copy runs inside RPC
+  // handlers (VarWrite, RunStep feeds): memory pressure is a status.
+  TFHPC_ASSIGN_OR_RETURN(
+      Tensor t, Tensor::TryCreate(dtype, std::move(shape), nullptr,
+                                  ZeroInit::kNo));
   if (content_size > 0) std::memcpy(t.raw_data(), content, content_size);
   return t;
 }

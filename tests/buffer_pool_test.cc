@@ -20,7 +20,7 @@ namespace {
 
 TEST(BufferPoolTest, AllocationsAreAlignedAndExactlySized) {
   for (size_t size : {1ul, 63ul, 64ul, 65ul, 4096ul, 100000ul}) {
-    auto buf = Buffer::Allocate(size);
+    auto buf = Buffer::TryAllocate(size).value();
     ASSERT_NE(buf->data(), nullptr);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(buf->data()) % Buffer::kAlignment,
               0u)
@@ -32,7 +32,7 @@ TEST(BufferPoolTest, AllocationsAreAlignedAndExactlySized) {
 TEST(BufferPoolTest, EverySizeClassIsSimdAligned) {
   // The vectorized kernels require 64-byte-aligned tensor storage. Walk
   // every size class (64 B .. 64 MB) plus the class boundaries and the
-  // oversized bypass path, on both allocation paths, fresh and pool-hit.
+  // oversized bypass path, fresh and pool-hit.
   BufferPool::Global().Trim();
   std::vector<size_t> sizes;
   for (size_t cls = BufferPool::kMinClassBytes;
@@ -47,15 +47,15 @@ TEST(BufferPoolTest, EverySizeClassIsSimdAligned) {
   };
   for (size_t size : sizes) {
     {
-      auto fresh = Buffer::Allocate(size, nullptr, ZeroInit::kNo);
+      auto fresh = Buffer::TryAllocate(size, nullptr, ZeroInit::kNo).value();
       ASSERT_NE(fresh->data(), nullptr) << size;
-      EXPECT_TRUE(aligned(fresh->data())) << "Allocate size " << size;
+      EXPECT_TRUE(aligned(fresh->data())) << "fresh size " << size;
     }
-    // The block just freed is now cached (when pooled); the fallible path
-    // must hand back an equally aligned block, hit or miss.
+    // The block just freed is now cached (when pooled); the pool must hand
+    // back an equally aligned block, hit or miss.
     auto r = Buffer::TryAllocate(size, nullptr, ZeroInit::kNo);
     ASSERT_TRUE(r.ok()) << size;
-    EXPECT_TRUE(aligned((*r)->data())) << "TryAllocate size " << size;
+    EXPECT_TRUE(aligned((*r)->data())) << "recycled size " << size;
   }
   BufferPool::Global().Trim();
 }
@@ -65,12 +65,13 @@ TEST(BufferPoolTest, FreedBlocksAreReusedFromTheSizeClass) {
   AllocatorStats stats;
   void* first = nullptr;
   {
-    auto buf = Buffer::Allocate(10000, &stats);
+    auto buf = Buffer::TryAllocate(10000, &stats).value();
     first = buf->data();
   }
   // The freed block sits on its size-class free list; the next matching
   // allocation must be served from it (same pointer, counted as a hit).
-  auto again = Buffer::Allocate(9000, &stats);  // same pow2 class (16K)
+  // Same pow2 class (16K).
+  auto again = Buffer::TryAllocate(9000, &stats).value();
   EXPECT_EQ(again->data(), first);
   EXPECT_EQ(stats.allocs(), 2);
   EXPECT_EQ(stats.pool_hits(), 1);
@@ -81,13 +82,13 @@ TEST(BufferPoolTest, ZeroInitZeroesRequestedBytesOfRecycledBlocks) {
   BufferPool::Global().Trim();
   const size_t size = 8192;
   {
-    auto dirty = Buffer::Allocate(size, nullptr, ZeroInit::kNo);
+    auto dirty = Buffer::TryAllocate(size, nullptr, ZeroInit::kNo).value();
     std::memset(dirty->data(), 0xab, size);
   }
   // kYes must scrub the recycled block...
   AllocatorStats stats;
   {
-    auto clean = Buffer::Allocate(size, &stats, ZeroInit::kYes);
+    auto clean = Buffer::TryAllocate(size, &stats, ZeroInit::kYes).value();
     ASSERT_EQ(stats.pool_hits(), 1);  // really recycled, not a fresh block
     const auto* p = static_cast<const unsigned char*>(clean->data());
     for (size_t i = 0; i < size; ++i) ASSERT_EQ(p[i], 0u) << i;
@@ -95,20 +96,20 @@ TEST(BufferPoolTest, ZeroInitZeroesRequestedBytesOfRecycledBlocks) {
   }
   // ...while kNo hands the block back dirty (this is the memset being
   // skipped — the pool is deterministic LIFO, so we see our own bytes).
-  auto raw = Buffer::Allocate(size, nullptr, ZeroInit::kNo);
+  auto raw = Buffer::TryAllocate(size, nullptr, ZeroInit::kNo).value();
   EXPECT_EQ(static_cast<const unsigned char*>(raw->data())[0], 0xcd);
 }
 
 TEST(BufferPoolTest, OversizedAllocationsBypassTheCache) {
   BufferPool::Global().Trim();
-  { auto big = Buffer::Allocate(BufferPool::kMaxPooledBytes + 1); }
+  { auto big = Buffer::TryAllocate(BufferPool::kMaxPooledBytes + 1).value(); }
   EXPECT_EQ(BufferPool::Global().cached_bytes(), 0u);
 }
 
 TEST(BufferPoolTest, TrimReleasesEverythingCached) {
   BufferPool::Global().Trim();
   for (size_t size : {1024ul, 2048ul, 65536ul}) {
-    auto buf = Buffer::Allocate(size);
+    auto buf = Buffer::TryAllocate(size).value();
   }
   EXPECT_GT(BufferPool::Global().cached_bytes(), 0u);
   EXPECT_GT(BufferPool::Global().Trim(), 0u);
@@ -119,7 +120,9 @@ TEST(BufferPoolTest, CacheCapBoundsIdleBytes) {
   BufferPool::Global().Trim();
   BufferPool::Global().set_cache_cap(64 * 1024);
   std::vector<std::shared_ptr<Buffer>> bufs;
-  for (int i = 0; i < 8; ++i) bufs.push_back(Buffer::Allocate(32 * 1024));
+  for (int i = 0; i < 8; ++i) {
+    bufs.push_back(Buffer::TryAllocate(32 * 1024).value());
+  }
   bufs.clear();  // frees 8 x 32K against a 64K cap
   EXPECT_LE(BufferPool::Global().cached_bytes(), 64u * 1024u);
   BufferPool::Global().set_cache_cap(BufferPool::kDefaultCacheCap);
@@ -131,7 +134,9 @@ TEST(BufferPoolTest, LiveAndPeakBytesTrackTensorLifetimes) {
   {
     Tensor a(DType::kF64, Shape{100}, &stats);
     EXPECT_EQ(stats.live_bytes(), 800);
-    Tensor b = Tensor::Uninitialized(DType::kF64, Shape{50}, &stats);
+    Tensor b =
+        Tensor::TryCreate(DType::kF64, Shape{50}, &stats, ZeroInit::kNo)
+            .value();
     EXPECT_EQ(stats.live_bytes(), 1200);
   }
   EXPECT_EQ(stats.live_bytes(), 0);
@@ -149,8 +154,8 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
       AllocatorStats stats;
       for (int i = 0; i < kIters; ++i) {
         const size_t size = 64u << ((t + i) % 8);
-        auto buf = Buffer::Allocate(size, &stats,
-                                    i % 2 ? ZeroInit::kYes : ZeroInit::kNo);
+        const ZeroInit zero = i % 2 ? ZeroInit::kYes : ZeroInit::kNo;
+        auto buf = Buffer::TryAllocate(size, &stats, zero).value();
         static_cast<unsigned char*>(buf->data())[size / 2] = 0x5a;
       }
       EXPECT_EQ(stats.live_bytes(), 0);
@@ -163,7 +168,8 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
 // ---- Tensor adoption --------------------------------------------------------
 
 TEST(TensorBufferTest, FromBufferAdoptsWithoutCopy) {
-  auto buf = Buffer::Allocate(64 * sizeof(float), nullptr, ZeroInit::kNo);
+  auto buf =
+      Buffer::TryAllocate(64 * sizeof(float), nullptr, ZeroInit::kNo).value();
   auto* src = static_cast<float*>(buf->data());
   for (int i = 0; i < 64; ++i) src[i] = static_cast<float>(i);
   const void* raw = buf->data();

@@ -175,7 +175,7 @@ TEST(ShapeTest, BroadcastIncompatible) {
 // ---- Buffer -------------------------------------------------------------------
 
 TEST(BufferTest, AlignedAndZeroed) {
-  auto b = Buffer::Allocate(1000);
+  auto b = Buffer::TryAllocate(1000).value();
   EXPECT_EQ(reinterpret_cast<uintptr_t>(b->data()) % Buffer::kAlignment, 0u);
   EXPECT_EQ(b->size(), 1000u);
   const auto* p = static_cast<const uint8_t*>(b->data());
@@ -185,10 +185,10 @@ TEST(BufferTest, AlignedAndZeroed) {
 TEST(BufferTest, StatsTrackLiveAndPeak) {
   AllocatorStats stats;
   {
-    auto a = Buffer::Allocate(100, &stats);
+    auto a = Buffer::TryAllocate(100, &stats).value();
     EXPECT_EQ(stats.live_bytes(), 100);
     {
-      auto b = Buffer::Allocate(200, &stats);
+      auto b = Buffer::TryAllocate(200, &stats).value();
       EXPECT_EQ(stats.live_bytes(), 300);
       EXPECT_EQ(stats.peak_bytes(), 300);
     }
@@ -199,7 +199,7 @@ TEST(BufferTest, StatsTrackLiveAndPeak) {
 }
 
 TEST(BufferTest, ZeroSizeAllocation) {
-  auto b = Buffer::Allocate(0);
+  auto b = Buffer::TryAllocate(0).value();
   EXPECT_EQ(b->size(), 0u);
 }
 

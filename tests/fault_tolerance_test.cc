@@ -687,9 +687,11 @@ TEST(JobRecoveryTest, SlowWorkerIsLeftToFinishNotEvicted) {
   recovery.rpc_retry = RetryPolicy::Aggressive(10000);
 
   rig.router_.Hang(rig.w1_addr_, /*max_block_ms=*/60000);
+  int64_t beats_at_unhang = 0;
   std::thread unstall([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
     rig.router_.Unhang(rig.w1_addr_);
+    beats_at_unhang = rig.monitor_->heartbeats(rig.w1_addr_);
   });
   FaultReport report;
   auto r = rig.session_->Run({}, {fetch}, recovery, &report);
@@ -698,6 +700,17 @@ TEST(JobRecoveryTest, SlowWorkerIsLeftToFinishNotEvicted) {
   EXPECT_DOUBLE_EQ((*r)[0].scalar<double>(), 10.0);
   EXPECT_EQ(report.step_attempts, 1) << "a slow worker is not a fault";
   EXPECT_EQ(report.workers_evicted, 0);
+  // Unhang releases the step RPC and the blocked heartbeat Ping together,
+  // so Run can return before the released Ping clears SUSPECT. Wait (with a
+  // bound) for a heartbeat that landed after Unhang before reading health.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rig.monitor_->heartbeats(rig.w1_addr_) <= beats_at_unhang &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(rig.monitor_->heartbeats(rig.w1_addr_), beats_at_unhang)
+      << "no heartbeat landed within 5 s of Unhang";
   EXPECT_EQ(rig.monitor_->health(rig.w1_addr_), TaskHealth::kAlive);
 }
 

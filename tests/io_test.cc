@@ -7,6 +7,7 @@
 #include <set>
 #include <thread>
 
+#include "core/buffer.h"
 #include "core/rng.h"
 #include "io/checkpoint.h"
 #include "io/dataset.h"
@@ -337,6 +338,53 @@ TEST(NpyFuzzTest, MangledHeadersNeverCrash) {
     (void)r;
   }
   SUCCEED();
+}
+
+// A v1 .npy file whose header dict is `dict` and whose data section is
+// zero bytes up to a total size of `file_bytes`.
+std::string NpyWithHeader(const std::string& dict, size_t file_bytes) {
+  std::string header = dict;
+  const size_t unpadded = 10 + header.size() + 1;
+  header.append((unpadded + 63) / 64 * 64 - unpadded, ' ');
+  header.push_back('\n');
+  std::string out("\x93NUMPY\x01\x00", 8);
+  out.push_back(static_cast<char>(header.size() & 0xFF));
+  out.push_back(static_cast<char>(header.size() >> 8));
+  out += header;
+  if (out.size() < file_bytes) out.resize(file_bytes, '\0');
+  return out;
+}
+
+// Decodes `file` and expects kInvalidArgument with no allocation on the way:
+// the process budget's high-water mark must not move.
+void ExpectRejectedBeforeAllocating(const std::string& file) {
+  BufferPool::Global().Trim();
+  MemoryLimiter::Process().ResetPeak();
+  const int64_t peak = MemoryLimiter::Process().peak();
+  auto r = DecodeNpy(file);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kInvalidArgument) << r.status().ToString();
+  EXPECT_EQ(MemoryLimiter::Process().peak(), peak)
+      << "allocated before rejecting: " << r.status().ToString();
+}
+
+TEST(NpyFuzzTest, NegativeDimensionIsInvalidArgument) {
+  ExpectRejectedBeforeAllocating(NpyWithHeader(
+      "{'descr': '<f8', 'fortran_order': False, 'shape': (-1,), }", 128));
+}
+
+TEST(NpyFuzzTest, ShapeOverflowingInt64IsInvalidArgument) {
+  ExpectRejectedBeforeAllocating(
+      NpyWithHeader("{'descr': '<f8', 'fortran_order': False, "
+                    "'shape': (4294967296, 4294967296), }",
+                    128));
+}
+
+TEST(NpyFuzzTest, ShortDataSectionIsRejectedBeforeAllocating) {
+  const std::string file = NpyWithHeader(
+      "{'descr': '<f8', 'fortran_order': False, 'shape': (1000000,), }", 128);
+  ASSERT_EQ(file.size(), 128u);
+  ExpectRejectedBeforeAllocating(file);
 }
 
 TEST(PrefetcherTest, DeliversAllInOrder) {

@@ -40,7 +40,7 @@ TEST_P(GemmShapeTest, MatchesNaiveF64) {
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
   std::vector<double> c(static_cast<size_t>(m * n));
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k);
+  ASSERT_TRUE(blas::Gemm(a.data(), b.data(), c.data(), m, n, k).ok());
   auto ref = NaiveGemm(a, b, m, n, k);
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c[i], ref[i], 1e-9 * k) << "at " << i;
@@ -58,7 +58,9 @@ TEST(GemmTest, F32Accumulate) {
   // beta_zero=false must accumulate into existing C.
   std::vector<float> a{1, 2, 3, 4}, b{1, 0, 0, 1};  // 2x2 identity-ish
   std::vector<float> c{10, 10, 10, 10};
-  blas::Gemm(a.data(), b.data(), c.data(), 2, 2, 2, /*beta_zero=*/false);
+  ASSERT_TRUE(
+      blas::Gemm(a.data(), b.data(), c.data(), 2, 2, 2, /*beta_zero=*/false)
+          .ok());
   EXPECT_FLOAT_EQ(c[0], 11);
   EXPECT_FLOAT_EQ(c[1], 12);
   EXPECT_FLOAT_EQ(c[2], 13);
@@ -100,7 +102,7 @@ TEST_P(GemmTailShapeTest, MatchesNaiveF64) {
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
   std::vector<double> c(static_cast<size_t>(m * n));
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k);
+  ASSERT_TRUE(blas::Gemm(a.data(), b.data(), c.data(), m, n, k).ok());
   const auto ref = NaiveGemm(a, b, m, n, k);
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c[i], ref[i], 1e-12 * k) << "at " << i;
@@ -116,7 +118,7 @@ TEST_P(GemmTailShapeTest, MatchesNaiveF32) {
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
   std::vector<float> c(static_cast<size_t>(m * n));
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k);
+  ASSERT_TRUE(blas::Gemm(a.data(), b.data(), c.data(), m, n, k).ok());
   const auto ref = NaiveGemm(a, b, m, n, k);
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c[i], ref[i], 1e-5f * static_cast<float>(k)) << "at " << i;
@@ -137,7 +139,9 @@ TEST_P(GemmTailShapeTest, AccumulatesWhenBetaNonzeroF32) {
   for (size_t i = 0; i < ref.size(); ++i) {
     ref[i] += static_cast<float>(i % 7) - 3;
   }
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k, /*beta_zero=*/false);
+  ASSERT_TRUE(
+      blas::Gemm(a.data(), b.data(), c.data(), m, n, k, /*beta_zero=*/false)
+          .ok());
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c[i], ref[i], 1e-5f * static_cast<float>(k)) << "at " << i;
   }
@@ -155,7 +159,9 @@ TEST_P(GemmTailShapeTest, AccumulatesWhenBetaNonzeroF64) {
   for (size_t i = 0; i < c.size(); ++i) c[i] = static_cast<double>(i % 5);
   auto ref = NaiveGemm(a, b, m, n, k);
   for (size_t i = 0; i < ref.size(); ++i) ref[i] += static_cast<double>(i % 5);
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k, /*beta_zero=*/false);
+  ASSERT_TRUE(
+      blas::Gemm(a.data(), b.data(), c.data(), m, n, k, /*beta_zero=*/false)
+          .ok());
   for (size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c[i], ref[i], 1e-12 * k) << "at " << i;
   }

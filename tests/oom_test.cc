@@ -390,6 +390,66 @@ TEST(OomExecutorTest, MidStepOomLeavesQueuesUsable) {
   EXPECT_DOUBLE_EQ((*r2)[0].scalar<double>(), 10.0);
 }
 
+TEST(OomExecutorTest, MatMulPackingScratchOomFailsTheStepNotTheProcess) {
+  GlobalAllocatorGuard guard;
+  LocalRuntime rt(/*num_gpus=*/0);
+  Scope s = rt.root_scope();
+  // 8x256 * 256x256 f64: the 16 KiB output fits the 64 KiB headroom below,
+  // the 512 KiB packed B panel (256 deep x 256 wide) does not.
+  auto a = ops::Placeholder(s, DType::kF64, Shape{8, 256}, "a");
+  auto b = ops::Placeholder(s, DType::kF64, Shape{256, 256}, "b");
+  auto c = ops::MatMul(s, a, b);
+  auto sess = rt.NewSession();
+  const Tensor fa =
+      Tensor::FromVector(Shape{8, 256}, std::vector<double>(8 * 256, 1.0));
+  const Tensor fb =
+      Tensor::FromVector(Shape{256, 256}, std::vector<double>(256 * 256, 0.5));
+  // Compile the signature first, so the limited run allocates only what the
+  // step itself needs.
+  ASSERT_TRUE(sess->Run({{"a", fa}, {"b", fb}}, {c.name()}).ok());
+
+  BufferPool::Global().Trim();
+  MemoryLimiter::Process().set_limit(MemoryLimiter::Process().used() +
+                                     64 * 1024);
+  auto r = sess->Run({{"a", fa}, {"b", fb}}, {c.name()});
+  MemoryLimiter::Process().set_limit(0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kResourceExhausted) << r.status().ToString();
+  EXPECT_TRUE(IsTransientResourceExhausted(r.status())) << r.status().ToString();
+
+  // With the limit lifted the same step runs.
+  auto r2 = sess->Run({{"a", fa}, {"b", fb}}, {c.name()});
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_DOUBLE_EQ((*r2)[0].data<double>()[0], 128.0);
+}
+
+TEST(OomExecutorTest, VariableFetchCopyUnderInjectionReturnsStatus) {
+  GlobalAllocatorGuard guard;
+  LocalRuntime rt(/*num_gpus=*/0);
+  Scope s = rt.root_scope();
+  auto x = ops::Placeholder(s, DType::kF64, Shape{512}, "x");
+  auto v = ops::Variable(s, "v", DType::kF64, Shape{512});
+  // Assign a computed value, so the variable holds a device-attributed
+  // buffer and fetching it takes the detach copy.
+  auto init = ops::Assign(s, v, ops::Add(s, x, x));
+  auto sess = rt.NewSession();
+  const Tensor feed = Tensor::FromVector(std::vector<double>(512, 1.0));
+  ASSERT_TRUE(sess->Run({{"x", feed}}, {init.name()}).ok());
+
+  AllocFaultSpec spec;
+  spec.every_nth = 1;
+  AllocFaultInjector::Global().Install(spec);
+  auto r = sess->Run({}, {v.name()});
+  AllocFaultInjector::Global().Disarm();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kResourceExhausted) << r.status().ToString();
+  EXPECT_TRUE(IsTransientResourceExhausted(r.status())) << r.status().ToString();
+
+  auto r2 = sess->Run({}, {v.name()});
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_DOUBLE_EQ((*r2)[0].data<double>()[511], 2.0);
+}
+
 // ---- taxonomy helpers and retry classification ------------------------------
 
 TEST(OomTaxonomyTest, TransientConstructorTagsAndClassifies) {
@@ -798,6 +858,41 @@ TEST_F(OomDistTest, StepRetryRecoversFromTransientOom) {
   EXPECT_TRUE(report.recovered);
   EXPECT_EQ(report.first_error.code(), Code::kResourceExhausted)
       << report.first_error.ToString();
+}
+
+TEST_F(OomDistTest, MpiVarAssignAddUnderPressureFailsCleanlyAndAppliesOnce) {
+  RemoteTask w0(&router_, "oom-w0:1", WireProtocol::kMpi);  // NoRetry
+  constexpr int64_t kMib = 1 << 20;
+  constexpr int64_t kN = kMib / static_cast<int64_t>(sizeof(double));
+  const Tensor init = Tensor::FromVector(std::vector<double>(kN, 1.0));
+  const Tensor delta = Tensor::FromVector(std::vector<double>(kN, 2.0));
+  ASSERT_TRUE(w0.VarAssign("v", init).ok());
+
+  // No headroom: the server's receive-side staging copy fails. 1 MiB plus
+  // slack: the staging copy fits, the accumulate clone does not.
+  for (int64_t headroom : {int64_t{0}, kMib + 64 * 1024}) {
+    BufferPool::Global().Trim();
+    MemoryLimiter::Process().set_limit(MemoryLimiter::Process().used() +
+                                       headroom);
+    const Status st = w0.VarAssignAdd("v", delta);
+    MemoryLimiter::Process().set_limit(0);
+    ASSERT_FALSE(st.ok()) << "headroom " << headroom;
+    EXPECT_EQ(st.code(), Code::kResourceExhausted) << st.ToString();
+    EXPECT_TRUE(IsTransientResourceExhausted(st))
+        << "the transient bit must cross the wire: " << st.ToString();
+    auto value = w0.VarRead("v");
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    EXPECT_DOUBLE_EQ(value->data<double>()[0], 1.0) << "headroom " << headroom;
+    EXPECT_DOUBLE_EQ(value->data<double>()[kN - 1], 1.0)
+        << "headroom " << headroom;
+  }
+
+  // With the limit lifted a retry applies the delta exactly once.
+  ASSERT_TRUE(w0.VarAssignAdd("v", delta).ok());
+  auto value = w0.VarRead("v");
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_DOUBLE_EQ(value->data<double>()[0], 3.0);
+  EXPECT_DOUBLE_EQ(value->data<double>()[kN - 1], 3.0);
 }
 
 TEST_F(OomDistTest, ServerWideStepBudgetRejectsPermanently) {

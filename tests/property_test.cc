@@ -235,10 +235,13 @@ TEST_P(GemmAlgebraTest, AssociativityHolds) {
   Tensor a = make(m, k, 1), b = make(k, l, 2), c = make(l, n, 3);
   std::vector<double> ab(static_cast<size_t>(m * l)), abc1(static_cast<size_t>(m * n));
   std::vector<double> bc(static_cast<size_t>(k * n)), abc2(static_cast<size_t>(m * n));
-  blas::Gemm(a.data<double>().data(), b.data<double>().data(), ab.data(), m, l, k);
-  blas::Gemm(ab.data(), c.data<double>().data(), abc1.data(), m, n, l);
-  blas::Gemm(b.data<double>().data(), c.data<double>().data(), bc.data(), k, n, l);
-  blas::Gemm(a.data<double>().data(), bc.data(), abc2.data(), m, n, k);
+  const double* pa = a.data<double>().data();
+  const double* pb = b.data<double>().data();
+  const double* pc = c.data<double>().data();
+  ASSERT_TRUE(blas::Gemm(pa, pb, ab.data(), m, l, k).ok());
+  ASSERT_TRUE(blas::Gemm(ab.data(), pc, abc1.data(), m, n, l).ok());
+  ASSERT_TRUE(blas::Gemm(pb, pc, bc.data(), k, n, l).ok());
+  ASSERT_TRUE(blas::Gemm(pa, bc.data(), abc2.data(), m, n, k).ok());
   for (size_t i = 0; i < abc1.size(); ++i) {
     EXPECT_NEAR(abc1[i], abc2[i], 1e-10 * static_cast<double>(k * l));
   }

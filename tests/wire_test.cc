@@ -486,7 +486,7 @@ std::vector<uint8_t> RandomBytes(size_t n, uint32_t seed) {
 // `offset`, with the view ending exactly at the buffer's end.
 PayloadRef MakeView(std::string head, const uint8_t* content, size_t len,
                     size_t offset) {
-  auto buf = Buffer::Allocate(offset + len);
+  auto buf = Buffer::TryAllocate(offset + len).value();
   std::memcpy(static_cast<uint8_t*>(buf->data()) + offset, content, len);
   return PayloadRef::View(std::move(head), std::move(buf), offset, len);
 }

@@ -25,6 +25,22 @@ int64_t Shape::num_elements() const {
   return n;
 }
 
+Result<int64_t> CheckedByteCount(DType dtype,
+                                 const std::vector<int64_t>& dims) {
+  int64_t bytes = static_cast<int64_t>(DTypeSize(dtype));
+  for (int64_t d : dims) {
+    if (d < 0) {
+      return InvalidArgument("negative dimension in " + Shape(dims).ToString());
+    }
+    if (d != 0 && bytes > INT64_MAX / d) {
+      return InvalidArgument("byte count of " + Shape(dims).ToString() +
+                             " overflows int64");
+    }
+    bytes *= d;
+  }
+  return bytes;
+}
+
 std::vector<int64_t> Shape::Strides() const {
   std::vector<int64_t> s(dims_.size(), 1);
   for (int i = rank() - 2; i >= 0; --i) {

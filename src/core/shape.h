@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dtype.h"
 #include "core/status.h"
 
 namespace tfhpc {
@@ -41,5 +42,11 @@ class Shape {
  private:
   std::vector<int64_t> dims_;
 };
+
+// Byte size of a `dtype` tensor with dimensions `dims`, for shapes read from
+// outside the program (wire frames, .npy headers). Fails with
+// kInvalidArgument on a negative dimension or a byte count past int64,
+// where Shape::num_elements() would abort.
+Result<int64_t> CheckedByteCount(DType dtype, const std::vector<int64_t>& dims);
 
 }  // namespace tfhpc

@@ -62,6 +62,12 @@ bool IsTransientResourceExhausted(const Status& s) {
   return s.code() == Code::kResourceExhausted &&
          s.message().find(kTransientTag) != std::string::npos;
 }
+Status PermanentResourceExhausted(const Status& s) {
+  if (!IsTransientResourceExhausted(s)) return s;
+  std::string msg = s.message();
+  msg.erase(msg.find(kTransientTag), sizeof(kTransientTag) - 1);
+  return Status(Code::kResourceExhausted, std::move(msg));
+}
 
 Status Cancelled(std::string msg) {
   return Status(Code::kCancelled, std::move(msg));

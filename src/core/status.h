@@ -70,6 +70,10 @@ Status Cancelled(std::string msg);
 // fail again.
 Status TransientResourceExhausted(std::string msg);
 bool IsTransientResourceExhausted(const Status& s);
+// `s` with the transient tag removed: the same exhaustion reported as
+// permanent, for a layer where a retry would repeat work already done.
+// Any other status is returned unchanged.
+Status PermanentResourceExhausted(const Status& s);
 Status DeadlineExceeded(std::string msg);
 Status Unavailable(std::string msg);
 

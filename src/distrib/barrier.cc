@@ -21,8 +21,10 @@ Result<int64_t> QueueBarrier::Arrive(int worker_id, CancellationToken* token) {
   RemoteTask coordinator(router_, coordinator_addr_, protocol_);
   // Token carries the worker id (the coordinator only counts them, but ids
   // make debugging stuck barriers possible).
-  TFHPC_RETURN_IF_ERROR(coordinator.Enqueue(
-      InQueue(), Tensor::Scalar<int64_t>(worker_id), /*capacity=*/0, token));
+  TFHPC_ASSIGN_OR_RETURN(Tensor id, Tensor::TryCreate(DType::kI64, Shape{}));
+  *id.mutable_data<int64_t>() = worker_id;
+  TFHPC_RETURN_IF_ERROR(
+      coordinator.Enqueue(InQueue(), id, /*capacity=*/0, token));
   TFHPC_ASSIGN_OR_RETURN(
       Tensor round, coordinator.Dequeue(OutQueue(worker_id), /*capacity=*/0,
                                         token));
@@ -46,8 +48,11 @@ Status QueueBarrier::RunCoordinator(InProcessRouter* router,
       }
     }
     for (int w = 0; w < num_workers; ++w) {
-      TFHPC_RETURN_IF_ERROR(self.Enqueue(
-          name + "/out_" + std::to_string(w), Tensor::Scalar<int64_t>(round)));
+      TFHPC_ASSIGN_OR_RETURN(Tensor release,
+                             Tensor::TryCreate(DType::kI64, Shape{}));
+      *release.mutable_data<int64_t>() = round;
+      TFHPC_RETURN_IF_ERROR(
+          self.Enqueue(name + "/out_" + std::to_string(w), release));
     }
   }
   return Status::OK();

@@ -72,6 +72,27 @@ Result<wire::PayloadRef> RemoteTask::Call(const std::string& method,
   return out;
 }
 
+Status RemoteTask::DecodeApplied(const std::string& method,
+                                 CancellationToken* token,
+                                 const std::function<Status()>& decode) {
+  RetryPolicy policy = retry_;
+  if (token != nullptr && token->has_deadline()) {
+    policy = ClampToRemaining(policy, token->remaining_ms());
+  }
+  RetryState state(policy, client_id_);
+  for (;;) {
+    Status st = decode();
+    if (!IsTransientResourceExhausted(st)) return st;
+    Status final;
+    if (!state.BackoffAndRetry(st, &final)) {
+      return PermanentResourceExhausted(
+          Status(st.code(), addr_ + "/" + method +
+                                ": response lost after the call was applied: " +
+                                st.message()));
+    }
+  }
+}
+
 Status RemoteTask::Ping() {
   auto r = Call("Ping", "hello");
   if (!r.ok()) return r.status();
@@ -91,13 +112,18 @@ Result<Tensor> RemoteTask::Dequeue(const std::string& queue, int64_t capacity,
   TFHPC_ASSIGN_OR_RETURN(
       wire::PayloadRef payload,
       Call("Dequeue", EncodeQueuePayload(queue, nullptr, capacity), token));
-  TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ParseTensor(payload));
+  Tensor t;
+  TFHPC_RETURN_IF_ERROR(DecodeApplied("Dequeue", token, [&]() -> Status {
+    TFHPC_ASSIGN_OR_RETURN(t, wire::ParseTensor(payload));
+    return Status::OK();
+  }));
   // In-process zero-copy transports hand back the server's buffer: release
   // the payload's reference so a sole-owner tensor detaches in place, then
   // sever any server-device allocator attribution before the tensor escapes
   // to the caller (who may outlive the server).
   payload = wire::PayloadRef();
-  TFHPC_RETURN_IF_ERROR(t.DetachFromAllocator());
+  TFHPC_RETURN_IF_ERROR(DecodeApplied(
+      "Dequeue", token, [&]() { return t.DetachFromAllocator(); }));
   return t;
 }
 
@@ -165,6 +191,18 @@ Status RemoteTask::ExtendGraph(const wire::GraphDef& def) {
   return r.ok() ? Status::OK() : r.status();
 }
 
+Result<std::vector<Tensor>> RemoteTask::DecodeFetches(
+    const wire::PayloadRef& payload, CancellationToken* token) {
+  std::string scratch;
+  std::vector<Tensor> fetched;
+  TFHPC_RETURN_IF_ERROR(DecodeApplied("RunStep", token, [&]() -> Status {
+    TFHPC_ASSIGN_OR_RETURN(fetched,
+                           DecodeTensorList(payload.Contiguous(&scratch)));
+    return Status::OK();
+  }));
+  return fetched;
+}
+
 Result<std::vector<Tensor>> RemoteTask::RunStep(
     const std::map<std::string, Tensor>& feeds,
     const std::vector<std::string>& fetches,
@@ -177,8 +215,7 @@ Result<std::vector<Tensor>> RemoteTask::RunStep(
   req.simulate = simulate;
   TFHPC_ASSIGN_OR_RETURN(wire::PayloadRef payload,
                          Call("RunStep", req.Serialize(), token));
-  std::string scratch;
-  return DecodeTensorList(payload.Contiguous(&scratch));
+  return DecodeFetches(payload, token);
 }
 
 Result<uint64_t> RemoteTask::RegisterStep(
@@ -210,8 +247,7 @@ Result<std::vector<Tensor>> RemoteTask::RunRegisteredStep(
   req.step_handle = handle;
   TFHPC_ASSIGN_OR_RETURN(wire::PayloadRef payload,
                          Call("RunStep", req.Serialize(), token));
-  std::string scratch;
-  return DecodeTensorList(payload.Contiguous(&scratch));
+  return DecodeFetches(payload, token);
 }
 
 }  // namespace tfhpc::distrib

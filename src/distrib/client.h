@@ -4,6 +4,8 @@
 // to the parameter server, drivers running worker steps).
 #pragma once
 
+#include <functional>
+
 #include "distrib/retry.h"
 #include "distrib/server.h"
 #include "runtime/cancellation.h"
@@ -93,6 +95,17 @@ class RemoteTask {
   Result<wire::PayloadRef> Call(const std::string& method,
                                 wire::PayloadRef payload,
                                 CancellationToken* token = nullptr);
+  // Runs `decode` over the response of a call the server has already
+  // applied (Dequeue popped its element, RunStep ran its AssignAdds).
+  // Re-issuing such a call would apply it twice, so a transient allocation
+  // failure while copying the response out is retried here, on the payload
+  // in hand, under this handle's policy. If it persists, it is reported
+  // as permanent: neither IsRetryable nor step-level recovery re-issues it.
+  Status DecodeApplied(const std::string& method, CancellationToken* token,
+                       const std::function<Status()>& decode);
+  // The fetched tensors of a RunStep response, through DecodeApplied.
+  Result<std::vector<Tensor>> DecodeFetches(const wire::PayloadRef& payload,
+                                            CancellationToken* token);
 
   InProcessRouter* router_;
   std::string addr_;

@@ -165,18 +165,11 @@ Result<Tensor> DecodeNpy(const std::string& bytes) {
   // The header is outside input: bound the shape before Shape::num_elements()
   // can abort on it, and check the data section is all there before
   // allocating for it.
-  const int64_t item = static_cast<int64_t>(DTypeSize(dtype));
-  int64_t elements = 1;
-  for (int64_t d : dims) {
-    if (d < 0) {
-      return InvalidArgument("npy: negative dimension in " + shape_tok);
-    }
-    if (d != 0 && elements > INT64_MAX / item / d) {
-      return InvalidArgument("npy: shape " + shape_tok + " overflows int64");
-    }
-    elements *= d;
+  auto byte_count = CheckedByteCount(dtype, dims);
+  if (!byte_count.ok()) {
+    return InvalidArgument("npy: " + byte_count.status().message());
   }
-  const size_t data_bytes = static_cast<size_t>(elements * item);
+  const size_t data_bytes = static_cast<size_t>(*byte_count);
   const size_t data_off = header_off + header_len;
   if (bytes.size() - data_off < data_bytes) {
     return InvalidArgument("npy: truncated data section");

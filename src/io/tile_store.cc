@@ -101,7 +101,8 @@ Result<TileStore> TileStore::Create(const std::string& dir,
       const int64_t c0 = tc * tile_cols;
       const int64_t nr = std::min(tile_rows, m.rows - r0);
       const int64_t nc = std::min(tile_cols, m.cols - c0);
-      Tensor tile(matrix.dtype(), Shape{nr, nc});
+      TFHPC_ASSIGN_OR_RETURN(
+          Tensor tile, Tensor::TryCreate(matrix.dtype(), Shape{nr, nc}));
       CopyBlockDyn(matrix, tile, r0, c0, 0, 0, nr, nc);
       TFHPC_RETURN_IF_ERROR(SaveNpy(store.TilePath(tr, tc), tile));
     }
@@ -135,7 +136,9 @@ Status TileStore::StoreTile(int64_t tr, int64_t tc, const Tensor& t) const {
 }
 
 Result<Tensor> TileStore::Assemble() const {
-  Tensor out(manifest_.dtype, Shape{manifest_.rows, manifest_.cols});
+  TFHPC_ASSIGN_OR_RETURN(
+      Tensor out, Tensor::TryCreate(manifest_.dtype,
+                                    Shape{manifest_.rows, manifest_.cols}));
   for (int64_t tr = 0; tr < manifest_.grid_rows(); ++tr) {
     for (int64_t tc = 0; tc < manifest_.grid_cols(); ++tc) {
       TFHPC_ASSIGN_OR_RETURN(Tensor tile, LoadTile(tr, tc));
@@ -177,7 +180,8 @@ Result<Tensor> InterleaveMerge(const std::vector<Tensor>& tiles) {
       return InvalidArgument("InterleaveMerge: inconsistent tiles");
     }
   }
-  Tensor out(DType::kC128, Shape{m * num_tiles});
+  TFHPC_ASSIGN_OR_RETURN(Tensor out,
+                         Tensor::TryCreate(DType::kC128, Shape{m * num_tiles}));
   auto* d = out.mutable_data<std::complex<double>>();
   for (int64_t k = 0; k < num_tiles; ++k) {
     const auto src = tiles[static_cast<size_t>(k)].data<std::complex<double>>();

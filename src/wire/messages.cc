@@ -99,22 +99,18 @@ Result<Tensor> ParseTensorMessage(const void* head, size_t size,
     }
   }
   if (dtype == DType::kInvalid) return InvalidArgument("TensorProto: no dtype");
-  // Shape::num_elements() aborts on a byte count past int64, and the frame
-  // comes from outside the process: bound the product here.
-  const int64_t item = static_cast<int64_t>(DTypeSize(dtype));
-  int64_t elements = 1;
-  for (int64_t d : dims) {
-    if (d != 0 && elements > INT64_MAX / item / d) {
-      return InvalidArgument("TensorProto: implausible shape");
-    }
-    elements *= d;
+  // The frame comes from outside the process: bound the shape before
+  // Shape::num_elements() can abort on it.
+  auto byte_count = CheckedByteCount(dtype, dims);
+  if (!byte_count.ok()) {
+    return InvalidArgument("TensorProto: " + byte_count.status().message());
   }
   Shape shape(std::move(dims));
   if (is_meta) return Tensor::Meta(dtype, std::move(shape));
   if (has_view && !content_is_view) {
     return InvalidArgument("TensorProto: view payload without content field");
   }
-  const int64_t expect = elements * item;
+  const int64_t expect = *byte_count;
   if (static_cast<size_t>(expect) != content_size) {
     return InvalidArgument("TensorProto: content size " +
                            std::to_string(content_size) + " != expected " +

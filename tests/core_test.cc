@@ -127,6 +127,23 @@ TEST(ShapeTest, ZeroDimGivesZeroElements) {
   EXPECT_EQ(s.num_elements(), 0);
 }
 
+TEST(ShapeTest, CheckedByteCountBoundsShapesFromOutside) {
+  EXPECT_EQ(CheckedByteCount(DType::kF64, {2, 3}).value(), 48);
+  EXPECT_EQ(CheckedByteCount(DType::kF64, {}).value(), 8);
+  EXPECT_EQ(CheckedByteCount(DType::kF32, {0, int64_t{1} << 62}).value(), 0);
+  EXPECT_EQ(CheckedByteCount(DType::kF64, {-1}).status().code(),
+            Code::kInvalidArgument);
+  EXPECT_EQ(CheckedByteCount(DType::kF64, {0, -1}).status().code(),
+            Code::kInvalidArgument);
+  EXPECT_EQ(CheckedByteCount(DType::kF64, {int64_t{1} << 32, int64_t{1} << 32})
+                .status()
+                .code(),
+            Code::kInvalidArgument);
+  // The element count fits int64; the byte count does not.
+  EXPECT_EQ(CheckedByteCount(DType::kF64, {int64_t{1} << 60}).status().code(),
+            Code::kInvalidArgument);
+}
+
 TEST(ShapeTest, StridesAreRowMajor) {
   Shape s{2, 3, 4};
   auto strides = s.Strides();

@@ -895,6 +895,120 @@ TEST_F(OomDistTest, MpiVarAssignAddUnderPressureFailsCleanlyAndAppliesOnce) {
   EXPECT_DOUBLE_EQ(value->data<double>()[kN - 1], 3.0);
 }
 
+// A Dequeue response is copied out on the client after the server popped
+// the element: a tensor produced by a worker step carries the worker
+// device's allocator attribution, and the server's replay cache still holds
+// the response, so the client detaches it with a copy. A failed copy must
+// not look retryable: a retried Dequeue would wait for (or take) a
+// different element.
+TEST_F(OomDistTest, MpiDequeueCopyOomAfterThePopIsNotRetryable) {
+  Graph g;
+  Scope s(&g);
+  auto push = ops::QueueEnqueue(
+      s, "q", ops::Fill(s, DType::kF64, Shape{8192}, 7.0));
+  RemoteTask w0(&router_, "oom-w0:1", WireProtocol::kMpi);  // NoRetry
+  ASSERT_TRUE(w0.ExtendGraph(g.ToGraphDef()).ok());
+  ASSERT_TRUE(w0.RunStep({}, {}, {push.node->name()}).ok());
+
+  // Only tensor-sized allocations are eligible: the client's 64 KiB copy of
+  // the response is the one that fails.
+  AllocFaultSpec spec;
+  spec.every_nth = 1;
+  spec.min_bytes = 4096;
+  AllocFaultInjector::Global().Install(spec);
+  auto r = w0.Dequeue("q");
+  const int64_t injected = AllocFaultInjector::Global().injected();
+  AllocFaultInjector::Global().Disarm();
+  ASSERT_FALSE(r.ok());
+  EXPECT_GT(injected, 0);
+  EXPECT_EQ(r.status().code(), Code::kResourceExhausted)
+      << r.status().ToString();
+  EXPECT_FALSE(IsRetryable(r.status()))
+      << "the server already popped the element: " << r.status().ToString();
+}
+
+TEST_F(OomDistTest, MpiDequeueRetriesTheLocalCopyNotTheCall) {
+  Graph g;
+  Scope s(&g);
+  auto push7 = ops::QueueEnqueue(
+      s, "q", ops::Fill(s, DType::kF64, Shape{8192}, 7.0));
+  auto push8 = ops::QueueEnqueue(
+      s, "q", ops::Fill(s, DType::kF64, Shape{8192}, 8.0));
+  RetryPolicy retry;
+  retry.max_attempts = 4;
+  RemoteTask w0(&router_, "oom-w0:1", WireProtocol::kMpi, retry);
+  ASSERT_TRUE(w0.ExtendGraph(g.ToGraphDef()).ok());
+  ASSERT_TRUE(w0.RunStep({}, {}, {push7.node->name()}).ok());
+  ASSERT_TRUE(w0.RunStep({}, {}, {push8.node->name()}).ok());
+
+  // Both attempts of the first copy's trim-retry loop fail. The copy is
+  // retried on the response in hand; the Dequeue is not re-sent.
+  AllocFaultSpec spec;
+  spec.every_nth = 1;
+  spec.min_bytes = 4096;
+  spec.max_failures = 2;
+  AllocFaultInjector::Global().Install(spec);
+  const int64_t retries_before = w0.retries();
+  auto first = w0.Dequeue("q");
+  const int64_t injected = AllocFaultInjector::Global().injected();
+  AllocFaultInjector::Global().Disarm();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(injected, 2);
+  EXPECT_DOUBLE_EQ(first->data<double>()[0], 7.0);
+  EXPECT_EQ(w0.retries(), retries_before);
+
+  auto second = w0.Dequeue("q");
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_DOUBLE_EQ(second->data<double>()[0], 8.0);
+}
+
+// A step the worker completed, whose fetch copy then fails on the client,
+// must not be re-run by step-level recovery: its AssignAdd was applied.
+TEST_F(OomDistTest, AppliedStepIsNotRerunWhenItsFetchCopyFails) {
+  Graph g;
+  Scope s(&g);
+  auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
+  auto counter = ops::Variable(t0, "counter", DType::kF64, Shape{8});
+  auto big = ops::Variable(t0, "big", DType::kF64, Shape{8192});
+  auto bump = ops::AssignAdd(
+      t0, counter,
+      ops::Const(t0, Tensor::FromVector(std::vector<double>(8, 1.0))));
+  auto session = DistributedSession::Create(
+      &router_, *spec_, WireProtocol::kRdma, g.ToGraphDef(), WorkerDev());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  // Written over the wire, the values carry no worker-device attribution,
+  // so the worker fetches them without a copy.
+  RemoteTask w0(&router_, "oom-w0:1", WireProtocol::kRdma);
+  ASSERT_TRUE(
+      w0.VarAssign("counter", Tensor::FromVector(std::vector<double>(8))).ok());
+  ASSERT_TRUE(
+      w0.VarAssign("big", Tensor::FromVector(std::vector<double>(8192, 5.0)))
+          .ok());
+
+  // The worker's allocations in this step are 64 B; only the client's
+  // 64 KiB copy of the fetched `big` value is eligible, and it always fails.
+  AllocFaultSpec spec;
+  spec.every_nth = 1;
+  spec.min_bytes = 4096;
+  AllocFaultInjector::Global().Install(spec);
+  StepRecoveryOptions recovery;
+  recovery.max_step_attempts = 3;
+  recovery.step_timeout_ms = 10000;
+  FaultReport report;
+  auto r = (*session)->Run({}, {bump.name(), big.name()}, recovery, &report);
+  AllocFaultInjector::Global().Disarm();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kResourceExhausted)
+      << r.status().ToString();
+  EXPECT_FALSE(IsRetryable(r.status())) << r.status().ToString();
+  EXPECT_EQ(report.step_attempts, 1) << report.ToString();
+
+  auto after = (*session)->Run({}, {counter.name()});
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_DOUBLE_EQ((*after)[0].data<double>()[0], 1.0)
+      << "the AssignAdd must be applied exactly once";
+}
+
 TEST_F(OomDistTest, ServerWideStepBudgetRejectsPermanently) {
   Graph g;
   Scope s(&g);

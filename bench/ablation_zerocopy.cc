@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       for (int r = 0; r < rounds; ++r) {
         wire::RpcEnvelope req;
         req.method = "VarWrite";
-        req.payload = distrib::EncodeVarPayload("v", &payload, false, false);
+        req.payload = wire::EncodeVarPayload("v", &payload, false, false);
         TFHPC_CHECK(req.payload.is_view()) << "VarWrite frame is not a view";
         if (!view) req.payload.Detach();
         frame_bytes = static_cast<int64_t>(req.payload.size());

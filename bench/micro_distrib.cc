@@ -76,18 +76,27 @@ void BM_PayloadChecksum(benchmark::State& state) {
 BENCHMARK(BM_PayloadChecksum)
     ->ArgsProduct({{64, 4 << 10, 1 << 20}, {0, 1}});
 
+// Arg: elements of the f64 fetch (0 = a scalar). y = x * c with a scalar
+// feed x and a constant c of that size, so the 1 MiB variant moves 1 MiB
+// only in the response, as the fetch list's trailing tensor.
 void BM_RemoteRunStep(benchmark::State& state) {
+  const int64_t n = state.range(0);
   MiniCluster c;
   Scope s(&c.w0->graph());
   auto x = ops::Placeholder(s, DType::kF64, Shape{}, "x");
-  auto y = ops::Mul(s, x, ops::Const(s, Tensor::Scalar(2.0)));
+  const Tensor two = n == 0 ? Tensor::Scalar(2.0)
+                            : Tensor::FromVector(std::vector<double>(
+                                  static_cast<size_t>(n), 2.0));
+  auto y = ops::Mul(s, x, ops::Const(s, two));
   RemoteTask w0(&c.router, "mb-w0:1", WireProtocol::kRdma);
   for (auto _ : state) {
     auto r = w0.RunStep({{"x", Tensor::Scalar(1.0)}}, {y.name()});
     benchmark::DoNotOptimize(r.ok());
   }
+  state.SetBytesProcessed(state.iterations() * two.bytes());
+  state.SetLabel(n == 0 ? "scalar" : "1MiB fetch");
 }
-BENCHMARK(BM_RemoteRunStep);
+BENCHMARK(BM_RemoteRunStep)->Arg(0)->Arg(1 << 17);
 
 void BM_RemoteQueuePingPong(benchmark::State& state) {
   MiniCluster c;

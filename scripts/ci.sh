@@ -137,12 +137,13 @@ echo "==== tier 2: ThreadSanitizer smoke ===="
 # kernel forwarding — exactly the code where a lifetime bug would be a
 # use-after-free rather than a test failure — the word-at-a-time envelope
 # checksum, where a tail loop that overran a view would be a heap overflow,
-# and the .npy decoder, which parses outside input and would overrun a
-# truncated data section. The full-suite sweep stays in the nightly
+# and the parsers of outside input that would overrun a truncated frame:
+# the .npy decoder and the RPC body codecs (queue/var frames, the tensor
+# list, RunStepRequest). The full-suite sweep stays in the nightly
 # `scripts/sanitize.sh both`.
 echo "==== tier 3: AddressSanitizer smoke ===="
 "$repo/scripts/sanitize.sh" address \
-  'BufferPool|BufferForward|TensorBuffer|Transport|ServerTest|Checkpoint|WireTensor|PayloadChecksum|Npy|Oom|Fused|Coalesce'
+  'BufferPool|BufferForward|TensorBuffer|Transport|ServerTest|Checkpoint|WireTensor|PayloadChecksum|Npy|FrameCodec|RunStepRequest|WireFuzz|Oom|Fused|Coalesce'
 
 # OOM-injection smoke: the multi-client distributed workload under an
 # injected allocator fault schedule, on the instrumented build. The binary
@@ -157,10 +158,10 @@ echo "==== OOM smoke: contract held, zero leaks ===="
 # UBSan over the numeric kernels and the static-analysis layer: shape
 # arithmetic (including the .npy header's), wire varint decoding, the
 # word-at-a-time envelope checksum and kernel index math are where a signed
-# overflow or misaligned access would hide.
+# overflow or misaligned access would hide, and the RPC body codecs.
 echo "==== tier 4: UndefinedBehaviorSanitizer smoke ===="
 "$repo/scripts/sanitize.sh" undefined \
-  'Kernels|ArrayKernels|GraphCheck|ShapeInference|Wire|PayloadChecksum|Npy|CoreTest|Optimizer|Fused'
+  'Kernels|ArrayKernels|GraphCheck|ShapeInference|Wire|PayloadChecksum|Npy|FrameCodec|RunStepRequest|CoreTest|Optimizer|Fused'
 
 # clang-tidy (checks pinned in .clang-tidy, including bugprone-* and
 # concurrency-*) over the analysis, optimizer and runtime subsystems and

@@ -141,7 +141,9 @@ Status ConstFn(InferenceContext& c) {
       it->second.kind != wire::AttrValue::Kind::kString) {
     return c.AttrError("Const requires a serialized-tensor 'value' attr");
   }
-  Result<Tensor> t = wire::ParseTensor(it->second.s);
+  // Only the header is read: checking a graph allocates nothing, so memory
+  // pressure cannot turn into a GC017.
+  Result<Tensor> t = wire::ParseTensorMeta(it->second.s);
   if (!t.ok()) {
     return c.AttrError("Const 'value' attr does not parse as a tensor: " +
                        t.status().message());

@@ -102,7 +102,7 @@ Status RemoteTask::Ping() {
 
 Status RemoteTask::Enqueue(const std::string& queue, const Tensor& tensor,
                            int64_t capacity, CancellationToken* token) {
-  auto r = Call("Enqueue", EncodeQueuePayload(queue, &tensor, capacity),
+  auto r = Call("Enqueue", wire::EncodeQueuePayload(queue, &tensor, capacity),
                 token);
   return r.ok() ? Status::OK() : r.status();
 }
@@ -111,7 +111,8 @@ Result<Tensor> RemoteTask::Dequeue(const std::string& queue, int64_t capacity,
                                    CancellationToken* token) {
   TFHPC_ASSIGN_OR_RETURN(
       wire::PayloadRef payload,
-      Call("Dequeue", EncodeQueuePayload(queue, nullptr, capacity), token));
+      Call("Dequeue", wire::EncodeQueuePayload(queue, nullptr, capacity),
+           token));
   Tensor t;
   TFHPC_RETURN_IF_ERROR(DecodeApplied("Dequeue", token, [&]() -> Status {
     TFHPC_ASSIGN_OR_RETURN(t, wire::ParseTensor(payload));
@@ -128,20 +129,20 @@ Result<Tensor> RemoteTask::Dequeue(const std::string& queue, int64_t capacity,
 }
 
 Status RemoteTask::CloseQueue(const std::string& queue) {
-  auto r = Call("CloseQueue", EncodeQueuePayload(queue, nullptr, 0));
+  auto r = Call("CloseQueue", wire::EncodeQueuePayload(queue, nullptr, 0));
   return r.ok() ? Status::OK() : r.status();
 }
 
 Status RemoteTask::VarAssign(const std::string& var, const Tensor& tensor) {
   auto r = Call("VarWrite",
-                EncodeVarPayload(var, &tensor, /*accumulate=*/false,
+                wire::EncodeVarPayload(var, &tensor, /*accumulate=*/false,
                                  /*want_value=*/false));
   return r.ok() ? Status::OK() : r.status();
 }
 
 Status RemoteTask::VarAssignAdd(const std::string& var, const Tensor& tensor) {
   auto r = Call("VarWrite",
-                EncodeVarPayload(var, &tensor, /*accumulate=*/true,
+                wire::EncodeVarPayload(var, &tensor, /*accumulate=*/true,
                                  /*want_value=*/false));
   return r.ok() ? Status::OK() : r.status();
 }
@@ -149,7 +150,7 @@ Status RemoteTask::VarAssignAdd(const std::string& var, const Tensor& tensor) {
 Result<Tensor> RemoteTask::VarRead(const std::string& var) {
   TFHPC_ASSIGN_OR_RETURN(
       wire::PayloadRef payload,
-      Call("VarRead", EncodeVarPayload(var, nullptr, false, false)));
+      Call("VarRead", wire::EncodeVarPayload(var, nullptr, false, false)));
   TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ParseTensor(payload));
   // The view may alias the live server-side variable: detach (copying if
   // still shared) so the result neither aliases mutable server state nor
@@ -161,18 +162,28 @@ Result<Tensor> RemoteTask::VarRead(const std::string& var) {
 
 Result<std::map<std::string, Tensor>> RemoteTask::VarSnapshot() {
   TFHPC_ASSIGN_OR_RETURN(wire::PayloadRef payload, Call("VarSnapshot", ""));
-  std::string scratch;
-  return DecodeNamedTensors(payload.Contiguous(&scratch));
+  wire::TensorList vars;
+  TFHPC_RETURN_IF_ERROR(wire::ReadTensorList(payload, &vars));
+  // The trailing value may be a view of a live server variable: detach it
+  // like VarRead does.
+  payload = wire::PayloadRef();
+  std::map<std::string, Tensor> snapshot;
+  for (auto& [name, t] : vars) {
+    TFHPC_RETURN_IF_ERROR(t.DetachFromAllocator());
+    snapshot.emplace(std::move(name), std::move(t));
+  }
+  return snapshot;
 }
 
 Status RemoteTask::VarRestore(const std::map<std::string, Tensor>& vars) {
-  auto r = Call("VarRestore", EncodeNamedTensors(vars));
+  auto r = Call("VarRestore",
+                wire::AppendTensorList("", {vars.begin(), vars.end()}));
   return r.ok() ? Status::OK() : r.status();
 }
 
 Status RemoteTask::RendezvousSend(const std::string& key,
                                   const Tensor& tensor) {
-  auto r = Call("RendezvousSend", EncodeQueuePayload(key, &tensor, 0));
+  auto r = Call("RendezvousSend", wire::EncodeQueuePayload(key, &tensor, 0));
   return r.ok() ? Status::OK() : r.status();
 }
 
@@ -191,31 +202,39 @@ Status RemoteTask::ExtendGraph(const wire::GraphDef& def) {
   return r.ok() ? Status::OK() : r.status();
 }
 
-Result<std::vector<Tensor>> RemoteTask::DecodeFetches(
-    const wire::PayloadRef& payload, CancellationToken* token) {
-  std::string scratch;
-  std::vector<Tensor> fetched;
-  TFHPC_RETURN_IF_ERROR(DecodeApplied("RunStep", token, [&]() -> Status {
-    TFHPC_ASSIGN_OR_RETURN(fetched,
-                           DecodeTensorList(payload.Contiguous(&scratch)));
-    return Status::OK();
-  }));
-  return fetched;
-}
-
 Result<std::vector<Tensor>> RemoteTask::RunStep(
     const std::map<std::string, Tensor>& feeds,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets, bool simulate,
     CancellationToken* token) {
-  RunStepRequest req;
-  req.feeds = feeds;
-  req.fetches = fetches;
-  req.targets = targets;
-  req.simulate = simulate;
-  TFHPC_ASSIGN_OR_RETURN(wire::PayloadRef payload,
-                         Call("RunStep", req.Serialize(), token));
-  return DecodeFetches(payload, token);
+  std::vector<std::string> feed_names;
+  for (const auto& [name, tensor] : feeds) feed_names.push_back(name);
+  std::atomic<uint64_t>* handle;
+  {
+    std::lock_guard<std::mutex> lk(steps_mu_);
+    handle = &step_handles_[{feed_names, fetches, targets}];
+  }
+  return RunCachedStep(handle, feed_names, fetches, targets, feeds, simulate,
+                       token);
+}
+
+Result<std::vector<Tensor>> RemoteTask::RunCachedStep(
+    std::atomic<uint64_t>* handle, const std::vector<std::string>& feed_names,
+    const std::vector<std::string>& fetches,
+    const std::vector<std::string>& targets,
+    const std::map<std::string, Tensor>& feeds, bool simulate,
+    CancellationToken* token) {
+  uint64_t h = handle->load();
+  for (bool first = true;; first = false) {
+    if (h == 0) {
+      TFHPC_ASSIGN_OR_RETURN(h,
+                             RegisterStep(feed_names, fetches, targets, token));
+      handle->store(h);
+    }
+    auto r = RunRegisteredStep(h, feeds, simulate, token);
+    if (!first || r.ok() || r.status().code() != Code::kNotFound) return r;
+    h = 0;
+  }
 }
 
 Result<uint64_t> RemoteTask::RegisterStep(
@@ -241,13 +260,26 @@ Result<uint64_t> RemoteTask::RegisterStep(
 Result<std::vector<Tensor>> RemoteTask::RunRegisteredStep(
     uint64_t handle, const std::map<std::string, Tensor>& feeds, bool simulate,
     CancellationToken* token) {
-  RunStepRequest req;
+  wire::RunStepRequest req;
   req.feeds = feeds;
   req.simulate = simulate;
   req.step_handle = handle;
   TFHPC_ASSIGN_OR_RETURN(wire::PayloadRef payload,
                          Call("RunStep", req.Serialize(), token));
-  return DecodeFetches(payload, token);
+  wire::TensorList fetched;
+  TFHPC_RETURN_IF_ERROR(DecodeApplied("RunStep", token, [&]() {
+    return wire::ReadTensorList(payload, &fetched);
+  }));
+  // As in Dequeue: the trailing fetch may hold the server's buffer, so drop
+  // the payload's reference first and detach each tensor.
+  payload = wire::PayloadRef();
+  std::vector<Tensor> out;
+  for (auto& [name, t] : fetched) out.push_back(std::move(t));
+  TFHPC_RETURN_IF_ERROR(DecodeApplied("RunStep", token, [&]() -> Status {
+    for (Tensor& t : out) TFHPC_RETURN_IF_ERROR(t.DetachFromAllocator());
+    return Status::OK();
+  }));
+  return out;
 }
 
 }  // namespace tfhpc::distrib

@@ -4,7 +4,10 @@
 // to the parameter server, drivers running worker steps).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <functional>
+#include <mutex>
 
 #include "distrib/retry.h"
 #include "distrib/server.h"
@@ -68,6 +71,8 @@ class RemoteTask {
 
   // -- graphs / steps ------------------------------------------------------------
   Status ExtendGraph(const wire::GraphDef& def);
+  // Runs the signature (feed names, fetches, targets) through RunCachedStep
+  // with a handle cached on this RemoteTask per signature.
   Result<std::vector<Tensor>> RunStep(
       const std::map<std::string, Tensor>& feeds,
       const std::vector<std::string>& fetches,
@@ -86,6 +91,17 @@ class RemoteTask {
   Result<std::vector<Tensor>> RunRegisteredStep(
       uint64_t handle, const std::map<std::string, Tensor>& feeds,
       bool simulate = false, CancellationToken* token = nullptr);
+  // The one lazy-registration path: runs the signature (feed_names,
+  // fetches, targets) with `feeds` through the handle in `*handle`,
+  // registering it while 0 and re-registering once when the task answers
+  // kNotFound (it restarted or evicted the handle). Threads may share
+  // `*handle`; a registration race leaves each racer a valid handle.
+  Result<std::vector<Tensor>> RunCachedStep(
+      std::atomic<uint64_t>* handle, const std::vector<std::string>& feed_names,
+      const std::vector<std::string>& fetches,
+      const std::vector<std::string>& targets,
+      const std::map<std::string, Tensor>& feeds, bool simulate,
+      CancellationToken* token);
 
  private:
   // `token`, when non-null, stamps the envelope's deadline_ns and clamps
@@ -103,9 +119,6 @@ class RemoteTask {
   // as permanent: neither IsRetryable nor step-level recovery re-issues it.
   Status DecodeApplied(const std::string& method, CancellationToken* token,
                        const std::function<Status()>& decode);
-  // The fetched tensors of a RunStep response, through DecodeApplied.
-  Result<std::vector<Tensor>> DecodeFetches(const wire::PayloadRef& payload,
-                                            CancellationToken* token);
 
   InProcessRouter* router_;
   std::string addr_;
@@ -114,6 +127,10 @@ class RemoteTask {
   uint64_t client_id_;
   std::atomic<uint64_t> next_request_id_{1};
   std::atomic<int64_t> retries_{0};
+  // RunStep's handles: (feed names, fetches, targets) -> handle.
+  std::mutex steps_mu_;
+  std::map<std::array<std::vector<std::string>, 3>, std::atomic<uint64_t>>
+      step_handles_;
 };
 
 }  // namespace tfhpc::distrib

@@ -278,8 +278,7 @@ DistributedSession::GetOrBuildStepPlan(
     auto it = part_index.find(addr);
     if (it == part_index.end()) {
       it = part_index.emplace(addr, plan->parts.size()).first;
-      plan->parts.push_back(CompiledStep::Part{});
-      plan->parts.back().addr = addr;
+      plan->parts.emplace_back().addr = addr;
     }
     return plan->parts[it->second];
   };
@@ -420,38 +419,13 @@ Result<std::vector<Tensor>> DistributedSession::RunOnce(
     }
   }
 
-  // Runs one partition's share through its registered step handle, lazily
-  // registering on first use and re-registering once on kNotFound (the
-  // worker restarted or evicted the handle).
+  // Runs one partition's share through its registered step handle.
   auto run_part = [&](size_t pi,
                       RemoteTask& task) -> Result<std::vector<Tensor>> {
     CompiledStep::Part& part = plan->parts[pi];
-    uint64_t handle = 0;
-    {
-      std::lock_guard<std::mutex> lk(plan->handles_mu);
-      handle = part.handle;
-    }
-    if (handle == 0) {
-      TFHPC_ASSIGN_OR_RETURN(
-          handle, task.RegisterStep(part.feed_keys, part.fetches,
-                                    part.targets, step_token.get()));
-      std::lock_guard<std::mutex> lk(plan->handles_mu);
-      part.handle = handle;
-    }
-    auto r = task.RunRegisteredStep(handle, part_feeds[pi],
-                                    /*simulate=*/false, step_token.get());
-    if (!r.ok() && r.status().code() == Code::kNotFound) {
-      TFHPC_ASSIGN_OR_RETURN(
-          handle, task.RegisterStep(part.feed_keys, part.fetches,
-                                    part.targets, step_token.get()));
-      {
-        std::lock_guard<std::mutex> lk(plan->handles_mu);
-        part.handle = handle;
-      }
-      r = task.RunRegisteredStep(handle, part_feeds[pi],
-                                 /*simulate=*/false, step_token.get());
-    }
-    return r;
+    return task.RunCachedStep(&part.handle, part.feed_keys, part.fetches,
+                              part.targets, part_feeds[pi],
+                              /*simulate=*/false, step_token.get());
   };
 
   // Drive the involved partitions concurrently: cross-task edges rendezvous

@@ -40,6 +40,7 @@
 //    recovery latency) and the run's MTTR.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -244,10 +245,11 @@ class DistributedSession {
       // this signature's feeds/fetches/targets). 0 when the partition graph
       // could not be planned (dynamic shapes, verification findings).
       int64_t static_peak_bytes = 0;
-      uint64_t handle = 0;  // 0 = not registered yet (guarded by handles_mu)
+      // Shared by the concurrent Runs of this signature; 0 = not
+      // registered yet (see RemoteTask::RunCachedStep).
+      std::atomic<uint64_t> handle{0};
     };
-    std::vector<Part> parts;
-    std::mutex handles_mu;  // parts run on concurrent threads
+    std::deque<Part> parts;
   };
 
   // Returns the cached plan for this signature, compiling on miss: fetch

@@ -3,8 +3,6 @@
 #include <chrono>
 #include <optional>
 
-#include "wire/coded.h"
-
 namespace tfhpc::distrib {
 
 // ----- ReplayCache -----------------------------------------------------------
@@ -68,253 +66,6 @@ size_t ReplayCache::size() const {
   return responses_.size();
 }
 
-// ----- payload codecs ---------------------------------------------------------
-
-std::string RunStepRequest::Serialize() const {
-  std::string out;
-  wire::CodedOutput co(&out);
-  for (const auto& [name, tensor] : feeds) {
-    wire::WriteNamedTensor(co, 1, name, tensor);
-  }
-  for (const auto& f : fetches) co.WriteString(2, f);
-  for (const auto& t : targets) co.WriteString(3, t);
-  co.WriteBool(4, simulate);
-  if (step_handle != 0) co.WriteUInt64(5, step_handle);
-  return out;
-}
-
-Result<RunStepRequest> RunStepRequest::Parse(const std::string& payload) {
-  wire::CodedInput in(payload);
-  RunStepRequest req;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    switch (field) {
-      case 1: {
-        std::string name;
-        Tensor tensor;
-        TFHPC_RETURN_IF_ERROR(wire::ReadNamedTensor(in, &name, &tensor));
-        req.feeds.emplace(std::move(name), std::move(tensor));
-        break;
-      }
-      case 2: {
-        std::string s;
-        TFHPC_RETURN_IF_ERROR(in.ReadString(&s));
-        req.fetches.push_back(std::move(s));
-        break;
-      }
-      case 3: {
-        std::string s;
-        TFHPC_RETURN_IF_ERROR(in.ReadString(&s));
-        req.targets.push_back(std::move(s));
-        break;
-      }
-      case 4: {
-        uint64_t v;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-        req.simulate = v != 0;
-        break;
-      }
-      case 5: {
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&req.step_handle));
-        break;
-      }
-      default:
-        TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  return req;
-}
-
-namespace {
-
-// The tensor argument of a queue/var frame. A method that takes no tensor
-// (`tensor` null) refuses one, inline or view alike.
-Status ReadTensorArg(wire::CodedInput& in, wire::WireType wt,
-                     const wire::PayloadRef& payload, Tensor* tensor) {
-  if (tensor == nullptr) {
-    return InvalidArgument("unexpected tensor in payload");
-  }
-  TFHPC_ASSIGN_OR_RETURN(*tensor, wire::ReadTensorField(in, wt, &payload));
-  return Status::OK();
-}
-
-}  // namespace
-
-wire::PayloadRef EncodeQueuePayload(const std::string& queue,
-                                    const Tensor* tensor, int64_t capacity) {
-  std::string head;
-  wire::CodedOutput co(&head);
-  co.WriteString(1, queue);
-  if (capacity > 0) co.WriteUInt64(3, static_cast<uint64_t>(capacity));
-  if (tensor == nullptr) return wire::PayloadRef(std::move(head));
-  return wire::AppendTensorField(std::move(head), 2, *tensor);
-}
-
-Status DecodeQueuePayload(const wire::PayloadRef& payload, std::string* queue,
-                          Tensor* tensor, int64_t* capacity) {
-  wire::CodedInput in(payload.head());
-  *capacity = 0;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    if (field == 1) {
-      TFHPC_RETURN_IF_ERROR(in.ReadString(queue));
-    } else if (field == 2) {
-      TFHPC_RETURN_IF_ERROR(ReadTensorArg(in, wt, payload, tensor));
-    } else if (field == 3) {
-      uint64_t v;
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-      *capacity = static_cast<int64_t>(v);
-    } else {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (queue->empty()) return InvalidArgument("queue payload without name");
-  return Status::OK();
-}
-
-wire::PayloadRef EncodeVarPayload(const std::string& var, const Tensor* tensor,
-                                  bool accumulate, bool want_value) {
-  std::string head;
-  wire::CodedOutput co(&head);
-  co.WriteString(1, var);
-  co.WriteBool(3, accumulate);
-  co.WriteBool(4, want_value);
-  if (tensor == nullptr) return wire::PayloadRef(std::move(head));
-  return wire::AppendTensorField(std::move(head), 2, *tensor);
-}
-
-Status DecodeVarPayload(const wire::PayloadRef& payload, std::string* var,
-                        Tensor* tensor, bool* accumulate, bool* want_value) {
-  wire::CodedInput in(payload.head());
-  *accumulate = false;
-  *want_value = false;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    uint64_t v = 0;
-    if (field == 1) {
-      TFHPC_RETURN_IF_ERROR(in.ReadString(var));
-    } else if (field == 2) {
-      TFHPC_RETURN_IF_ERROR(ReadTensorArg(in, wt, payload, tensor));
-    } else if (field == 3) {
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-      *accumulate = v != 0;
-    } else if (field == 4) {
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-      *want_value = v != 0;
-    } else {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (var->empty()) return InvalidArgument("var payload without name");
-  return Status::OK();
-}
-
-std::string EncodeTensorList(const std::vector<Tensor>& tensors) {
-  std::string out;
-  wire::CodedOutput co(&out);
-  for (const Tensor& t : tensors) co.WriteMessage(1, wire::SerializeTensor(t));
-  return out;
-}
-
-Result<std::vector<Tensor>> DecodeTensorList(const std::string& payload) {
-  wire::CodedInput in(payload);
-  std::vector<Tensor> tensors;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    if (field == 1) {
-      TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ReadTensorField(in, wt));
-      tensors.push_back(std::move(t));
-    } else {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  return tensors;
-}
-
-std::string EncodeNamedTensors(const std::map<std::string, Tensor>& vars) {
-  std::string out;
-  wire::CodedOutput co(&out);
-  for (const auto& [name, tensor] : vars) {
-    wire::WriteNamedTensor(co, 1, name, tensor);
-  }
-  return out;
-}
-
-Result<std::map<std::string, Tensor>> DecodeNamedTensors(
-    const std::string& payload) {
-  wire::CodedInput in(payload);
-  std::map<std::string, Tensor> vars;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    if (field != 1) {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-      continue;
-    }
-    std::string name;
-    Tensor tensor;
-    TFHPC_RETURN_IF_ERROR(wire::ReadNamedTensor(in, &name, &tensor));
-    vars.emplace(std::move(name), std::move(tensor));
-  }
-  return vars;
-}
-
-// All but the last pair ride as inline (key, tensor) entries (field 1); the
-// last is field 2 (its key) and field 3 (its tensor, framed last), so the
-// transport's zero-copy path still applies to one member of the group.
-wire::PayloadRef EncodePackedSendPayload(const std::vector<std::string>& keys,
-                                         const std::vector<Tensor>& tensors) {
-  std::string head;
-  wire::CodedOutput co(&head);
-  for (size_t i = 0; i + 1 < keys.size(); ++i) {
-    wire::WriteNamedTensor(co, 1, keys[i], tensors[i]);
-  }
-  co.WriteString(2, keys.back());
-  return wire::AppendTensorField(std::move(head), 3, tensors.back());
-}
-
-Status DecodePackedSendPayload(const wire::PayloadRef& payload,
-                               std::vector<std::string>* keys,
-                               std::vector<Tensor>* tensors) {
-  wire::CodedInput in(payload.head());
-  std::string last_key;
-  Tensor last_tensor;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    if (field == 1) {
-      std::string key;
-      Tensor tensor;
-      TFHPC_RETURN_IF_ERROR(wire::ReadNamedTensor(in, &key, &tensor));
-      keys->push_back(std::move(key));
-      tensors->push_back(std::move(tensor));
-    } else if (field == 2) {
-      TFHPC_RETURN_IF_ERROR(in.ReadString(&last_key));
-    } else if (field == 3) {
-      TFHPC_ASSIGN_OR_RETURN(last_tensor,
-                             wire::ReadTensorField(in, wt, &payload));
-    } else {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (last_key.empty() || !last_tensor.valid()) {
-    return InvalidArgument("packed send payload without trailing tensor");
-  }
-  keys->push_back(std::move(last_key));
-  tensors->push_back(std::move(last_tensor));
-  return Status::OK();
-}
-
 // ----- Server ----------------------------------------------------------------
 
 Result<std::unique_ptr<Server>> Server::Create(ServerDef def,
@@ -336,6 +87,14 @@ namespace {
 // starts high to stay visibly distinct in traces.
 uint64_t NextServerClientId() {
   static std::atomic<uint64_t> next{1u << 20};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+// Step handles are unique across the process, so a server restarted at the
+// same address never re-issues a handle a client still caches: the stale
+// handle gets kNotFound instead of running another signature.
+uint64_t NextStepHandle() {
+  static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 }  // namespace
@@ -373,7 +132,7 @@ Server::Server(ServerDef def, InProcessRouter* router, std::string address)
     // View payload: over RDMA the tensor bytes cross by buffer reference
     // (end-to-end zero-copy _Send); MPI stages them once; gRPC flattens.
     return SendToPeer(addr, "RendezvousSend",
-                      EncodeQueuePayload(key, &tensor, 0));
+                      wire::EncodeQueuePayload(key, &tensor, 0));
   });
   // Batched variant for _PackedSend: every coalesced key/tensor pair of a
   // cross-task group crosses in ONE RendezvousSendPacked RPC, under the
@@ -384,8 +143,12 @@ Server::Server(ServerDef def, InProcessRouter* router, std::string address)
         if (keys.empty() || keys.size() != tensors.size()) {
           return InvalidArgument("packed send needs matching keys/tensors");
         }
+        wire::TensorList list;
+        for (size_t i = 0; i < keys.size(); ++i) {
+          list.emplace_back(keys[i], tensors[i]);
+        }
         return SendToPeer(addr, "RendezvousSendPacked",
-                          EncodePackedSendPayload(keys, tensors));
+                          wire::AppendTensorList("", list));
       });
 }
 
@@ -429,11 +192,9 @@ std::unique_ptr<Session> Server::NewSession() {
 }
 
 Result<std::shared_ptr<const Executable>> Server::PrepareLocked(
-    const std::vector<std::string>& feed_keys,
-    const std::vector<std::string>& fetches,
-    const std::vector<std::string>& targets) {
+    const wire::RegisterStepRequest& sig) {
   std::lock_guard<std::mutex> lk(graph_mu_);
-  return session_->Prepare(feed_keys, fetches, targets);
+  return session_->Prepare(sig.feeds, sig.fetches, sig.targets);
 }
 
 wire::RpcEnvelope Server::Handle(const wire::RpcEnvelope& request) {
@@ -511,9 +272,9 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
                                           const wire::PayloadRef& payload,
                                           uint64_t client_id,
                                           CancellationToken* token) {
-  // Graph, step and restore bodies are encoded as plain strings (never a
-  // view), so Contiguous() hands back their head without a copy. Tensor
-  // frames decode either representation through the wire codec instead.
+  // Graph and registration bodies are plain strings (never a view), so
+  // Contiguous() hands back their head without a copy. Tensor frames
+  // decode either representation through the wire codecs instead.
   std::string flat_scratch;
 
   if (method == "Ping") return payload;
@@ -542,7 +303,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
                            wire::RegisterStepRequest::Parse(
                                payload.Contiguous(&flat_scratch)));
     TFHPC_ASSIGN_OR_RETURN(std::shared_ptr<const Executable> exe,
-                           PrepareLocked(req.feeds, req.fetches, req.targets));
+                           PrepareLocked(req));
     wire::RegisterStepResponse resp;
     resp.graph_version = exe->graph_version();
     {
@@ -553,54 +314,42 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
              std::max<size_t>(1, def_.max_registered_steps)) {
         registered_steps_.erase(registered_steps_.begin());
       }
-      resp.handle = next_step_handle_++;
+      resp.handle = NextStepHandle();
       registered_steps_.emplace(
-          resp.handle, RegisteredStep{std::move(req.feeds),
-                                      std::move(req.fetches),
-                                      std::move(req.targets), std::move(exe)});
+          resp.handle, RegisteredStep{std::move(req), std::move(exe)});
     }
     steps_registered_.fetch_add(1, std::memory_order_relaxed);
     return wire::PayloadRef(resp.Serialize());
   }
 
   if (method == "RunStep") {
-    TFHPC_ASSIGN_OR_RETURN(RunStepRequest req, RunStepRequest::Parse(
-                               payload.Contiguous(&flat_scratch)));
+    TFHPC_ASSIGN_OR_RETURN(wire::RunStepRequest req,
+                           wire::RunStepRequest::Parse(payload));
+    RegisteredStep step;
+    {
+      std::lock_guard<std::mutex> lk(steps_mu_);
+      auto it = registered_steps_.find(req.step_handle);
+      if (it == registered_steps_.end()) {
+        return NotFound("unknown step handle " +
+                        std::to_string(req.step_handle) +
+                        " (worker restarted or handle evicted); "
+                        "re-register the step");
+      }
+      step = it->second;
+    }
+    std::shared_ptr<const Executable> exe = step.executable;
+    if (exe->stale(graph_)) {
+      // The graph was extended after this step compiled: recompile the
+      // registered signature transparently and re-pin the handle.
+      TFHPC_ASSIGN_OR_RETURN(exe, PrepareLocked(step.signature));
+      std::lock_guard<std::mutex> lk(steps_mu_);
+      auto it = registered_steps_.find(req.step_handle);
+      if (it != registered_steps_.end()) it->second.executable = exe;
+    }
     RunOptions options;
     options.simulate = req.simulate;
     options.cancellation = token;
     options.step_memory_limit_bytes = def_.step_memory_limit_bytes;
-    std::shared_ptr<const Executable> exe;
-    if (req.step_handle != 0) {
-      RegisteredStep step;
-      {
-        std::lock_guard<std::mutex> lk(steps_mu_);
-        auto it = registered_steps_.find(req.step_handle);
-        if (it == registered_steps_.end()) {
-          return NotFound("unknown step handle " +
-                          std::to_string(req.step_handle) +
-                          " (worker restarted or handle evicted); "
-                          "re-register the step");
-        }
-        step = it->second;
-      }
-      exe = step.executable;
-      if (exe->stale(graph_)) {
-        // The graph was extended after this step compiled: recompile the
-        // registered signature transparently and re-pin the handle.
-        TFHPC_ASSIGN_OR_RETURN(
-            exe, PrepareLocked(step.feeds, step.fetches, step.targets));
-        std::lock_guard<std::mutex> lk(steps_mu_);
-        auto it = registered_steps_.find(req.step_handle);
-        if (it != registered_steps_.end()) it->second.executable = exe;
-      }
-    } else {
-      std::vector<std::string> feed_keys;
-      feed_keys.reserve(req.feeds.size());
-      for (const auto& [key, tensor] : req.feeds) feed_keys.push_back(key);
-      TFHPC_ASSIGN_OR_RETURN(
-          exe, PrepareLocked(feed_keys, req.fetches, req.targets));
-    }
     // Admission control: bounded in-flight steps with per-client fairness
     // AND a byte budget charged with the memory planner's static peak (an
     // upper bound sound under concurrency). A step with no bound (compiled
@@ -623,7 +372,11 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     }
     TFHPC_ASSIGN_OR_RETURN(std::vector<Tensor> outputs,
                            session_->RunPrepared(*exe, req.feeds, options));
-    return wire::PayloadRef(EncodeTensorList(outputs));
+    wire::TensorList fetched;
+    for (size_t i = 0; i < outputs.size(); ++i) {
+      fetched.emplace_back(step.signature.fetches[i], std::move(outputs[i]));
+    }
+    return wire::AppendTensorList("", fetched);
   }
 
   if (method == "Enqueue") {
@@ -631,7 +384,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     Tensor tensor;
     int64_t capacity;
     TFHPC_RETURN_IF_ERROR(
-        DecodeQueuePayload(payload, &queue, &tensor, &capacity));
+        wire::DecodeQueuePayload(payload, &queue, &tensor, &capacity));
     if (!tensor.valid()) return InvalidArgument("Enqueue without tensor");
     TFHPC_ASSIGN_OR_RETURN(FIFOQueue * q,
                            resources_.LookupOrCreateQueue(queue, capacity));
@@ -643,7 +396,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     std::string queue;
     int64_t capacity;
     TFHPC_RETURN_IF_ERROR(
-        DecodeQueuePayload(payload, &queue, nullptr, &capacity));
+        wire::DecodeQueuePayload(payload, &queue, nullptr, &capacity));
     TFHPC_ASSIGN_OR_RETURN(FIFOQueue * q,
                            resources_.LookupOrCreateQueue(queue, capacity));
     TFHPC_ASSIGN_OR_RETURN(Tensor t, q->Dequeue(token));
@@ -654,7 +407,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     std::string queue;
     int64_t capacity;
     TFHPC_RETURN_IF_ERROR(
-        DecodeQueuePayload(payload, &queue, nullptr, &capacity));
+        wire::DecodeQueuePayload(payload, &queue, nullptr, &capacity));
     TFHPC_ASSIGN_OR_RETURN(FIFOQueue * q,
                            resources_.LookupOrCreateQueue(queue, 0));
     q->Close();
@@ -666,7 +419,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     Tensor tensor;
     bool accumulate, want_value;
     TFHPC_RETURN_IF_ERROR(
-        DecodeVarPayload(payload, &var, &tensor, &accumulate,
+        wire::DecodeVarPayload(payload, &var, &tensor, &accumulate,
                              &want_value));
     if (!tensor.valid()) return InvalidArgument("VarWrite without tensor");
     Variable* v = resources_.LookupOrCreateVariable(var);
@@ -708,30 +461,34 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     Tensor tensor;
     int64_t capacity;
     TFHPC_RETURN_IF_ERROR(
-        DecodeQueuePayload(payload, &key, &tensor, &capacity));
+        wire::DecodeQueuePayload(payload, &key, &tensor, &capacity));
     if (!tensor.valid()) return InvalidArgument("RendezvousSend without tensor");
     TFHPC_RETURN_IF_ERROR(resources_.rendezvous().Send(key, std::move(tensor)));
     return wire::PayloadRef();
   }
 
   if (method == "RendezvousSendPacked") {
-    std::vector<std::string> keys;
-    std::vector<Tensor> tensors;
-    TFHPC_RETURN_IF_ERROR(DecodePackedSendPayload(payload, &keys, &tensors));
-    for (size_t i = 0; i < keys.size(); ++i) {
+    wire::TensorList sends;
+    TFHPC_RETURN_IF_ERROR(wire::ReadTensorList(payload, &sends));
+    if (sends.empty()) {
+      return InvalidArgument("RendezvousSendPacked without tensors");
+    }
+    for (auto& [key, tensor] : sends) {
       TFHPC_RETURN_IF_ERROR(
-          resources_.rendezvous().Send(keys[i], std::move(tensors[i])));
+          resources_.rendezvous().Send(key, std::move(tensor)));
     }
     return wire::PayloadRef();
   }
 
   if (method == "VarSnapshot") {
-    return wire::PayloadRef(EncodeNamedTensors(resources_.VariableSnapshot()));
+    const std::map<std::string, Tensor> vars = resources_.VariableSnapshot();
+    return wire::AppendTensorList("", {vars.begin(), vars.end()});
   }
 
   if (method == "VarRestore") {
-    TFHPC_ASSIGN_OR_RETURN(auto vars, DecodeNamedTensors(payload.Contiguous(&flat_scratch)));
-    resources_.RestoreVariables(vars);
+    wire::TensorList vars;
+    TFHPC_RETURN_IF_ERROR(wire::ReadTensorList(payload, &vars));
+    resources_.RestoreVariables({vars.begin(), vars.end()});
     return wire::PayloadRef();
   }
 
@@ -739,7 +496,7 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     std::string var;
     bool accumulate, want_value;
     TFHPC_RETURN_IF_ERROR(
-        DecodeVarPayload(payload, &var, nullptr, &accumulate,
+        wire::DecodeVarPayload(payload, &var, nullptr, &accumulate,
                              &want_value));
     Variable* v = resources_.LookupOrCreateVariable(var);
     TFHPC_ASSIGN_OR_RETURN(Tensor t, v->Read());

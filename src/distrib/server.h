@@ -4,32 +4,35 @@
 // built from exactly these pieces: a ps job hosting variables/queues and
 // worker jobs running compute graphs.
 //
-// Service methods (RpcEnvelope.method):
+// Service methods (RpcEnvelope.method). Every body is a wire/messages.h
+// frame; the server and client only call those codecs.
 //   Ping        — liveness, echoes payload
-//   ExtendGraph — payload: GraphDef; appends nodes to the server's graph
-//   RegisterStep— payload: RegisterStepRequest (feed names + fetches +
-//                 targets); compiles the signature once into an Executable
-//                 and returns a step handle (RegisterStepResponse)
-//   RunStep     — payload: RunStepRequest; runs fetches/targets with feeds.
-//                 With step_handle set, executes the registered Executable
-//                 (no graph walk); a handle compiled before a graph
-//                 mutation is transparently recompiled, an unknown handle
-//                 (restarted/evicted worker, registry eviction) fails with
-//                 kNotFound so the client re-registers
-//   Enqueue     — payload: queue name + tensor (+capacity); blocking
-//   Dequeue     — payload: queue name; blocking; response carries tensor
-//   CloseQueue  — payload: queue name
-//   VarWrite    — payload: var name + tensor + accumulate? + want_value?
-//   VarRead     — payload: var name; response carries tensor
-//   VarSnapshot — empty payload; response: all initialized variables
-//   VarRestore  — payload: named tensor map; bulk-restores variables
-//   RendezvousSend — payload: key + tensor; deposits into this task's
+//   ExtendGraph — GraphDef; appends nodes to the server's graph
+//   RegisterStep— RegisterStepRequest (feed names + fetches + targets);
+//                 compiles the signature once into an Executable and
+//                 returns a step handle (RegisterStepResponse)
+//   RunStep     — RunStepRequest (handle + feed tensor list); executes the
+//                 registered Executable and returns the fetches as a tensor
+//                 list. A frame without a handle is kInvalidArgument; a
+//                 handle compiled before a graph mutation is transparently
+//                 recompiled; an unknown handle (restarted/evicted worker,
+//                 registry eviction) fails with kNotFound so the client
+//                 re-registers
+//   Enqueue     — queue frame: name + tensor (+capacity); blocking
+//   Dequeue     — queue frame: name; blocking; response carries the tensor
+//   CloseQueue  — queue frame: name
+//   VarWrite    — var frame: name + tensor + accumulate? + want_value?
+//   VarRead     — var frame: name; response carries the tensor
+//   VarSnapshot — empty payload; response: all initialized variables as a
+//                 tensor list
+//   VarRestore  — tensor list; bulk-restores variables
+//   RendezvousSend — queue frame: key + tensor; deposits into this task's
 //                    rendezvous (the receiving half of a cross-task _Send)
-//   RendezvousSendPacked — payload: key/tensor pairs of one coalesced
+//   RendezvousSendPacked — tensor list (non-empty) of one coalesced
 //                    _PackedSend group; deposits each into the rendezvous
-//   AbortStep   — payload: optional reason; poisons the rendezvous until
-//                 ResetStep and fails every queue waiter with kCancelled
-//                 (queues stay open)
+//   AbortStep   — optional reason; poisons the rendezvous until ResetStep
+//                 and fails every queue waiter with kCancelled (queues
+//                 stay open)
 //   ResetStep   — empty payload; clears a poisoned rendezvous for the
 //                 next step
 //
@@ -220,9 +223,7 @@ class Server {
   // concurrent ExtendGraph cannot mutate the graph mid-compile. Execution
   // itself runs without the lock.
   Result<std::shared_ptr<const Executable>> PrepareLocked(
-      const std::vector<std::string>& feed_keys,
-      const std::vector<std::string>& fetches,
-      const std::vector<std::string>& targets);
+      const wire::RegisterStepRequest& sig);
 
   // The shared body of the remote_send / remote_send_packed hooks: one
   // rendezvous RPC to the peer at `addr`, retried under def_.send_retry
@@ -243,14 +244,11 @@ class Server {
   // Registered steps: handle -> compiled signature. A stale executable
   // (graph mutated since compile) is recompiled on next use.
   struct RegisteredStep {
-    std::vector<std::string> feeds;  // feed keys the signature expects
-    std::vector<std::string> fetches;
-    std::vector<std::string> targets;
+    wire::RegisterStepRequest signature;
     std::shared_ptr<const Executable> executable;
   };
   std::mutex steps_mu_;
   std::map<uint64_t, RegisteredStep> registered_steps_;
-  uint64_t next_step_handle_ = 1;
   std::atomic<int64_t> steps_registered_{0};
   ReplayCache replay_cache_;
   std::atomic<int64_t> checksum_rejects_{0};
@@ -262,52 +260,5 @@ class Server {
   uint64_t send_client_id_ = 0;
   std::atomic<uint64_t> next_send_request_id_{1};
 };
-
-// ----- payload codecs (exposed for the client and tests) --------------------
-
-struct RunStepRequest {
-  std::map<std::string, Tensor> feeds;
-  std::vector<std::string> fetches;
-  std::vector<std::string> targets;
-  bool simulate = false;
-  // When non-zero, the worker executes the Executable registered under this
-  // handle (fetches/targets above are ignored — they were fixed at
-  // RegisterStep time) and only the feed tensors ride the wire.
-  uint64_t step_handle = 0;
-
-  std::string Serialize() const;
-  static Result<RunStepRequest> Parse(const std::string& payload);
-};
-
-// Queue, variable and rendezvous frames: the tensor message is framed last
-// and its content rides as a buffer view (wire::AppendTensorField), so RDMA
-// forwards the sender's buffer and MPI/gRPC flatten the frame. The decoders
-// take either representation (wire::ReadTensorField); a null `tensor` means
-// the method takes none, and a frame that carries one anyway is refused.
-wire::PayloadRef EncodeQueuePayload(const std::string& queue,
-                                    const Tensor* tensor, int64_t capacity);
-Status DecodeQueuePayload(const wire::PayloadRef& payload, std::string* queue,
-                          Tensor* tensor, int64_t* capacity);
-
-wire::PayloadRef EncodeVarPayload(const std::string& var, const Tensor* tensor,
-                                  bool accumulate, bool want_value);
-Status DecodeVarPayload(const wire::PayloadRef& payload, std::string* var,
-                        Tensor* tensor, bool* accumulate, bool* want_value);
-
-// Packed rendezvous send frame (_PackedSend): every key/tensor pair of a
-// coalesced cross-task group in one RendezvousSendPacked call.
-wire::PayloadRef EncodePackedSendPayload(const std::vector<std::string>& keys,
-                                         const std::vector<Tensor>& tensors);
-Status DecodePackedSendPayload(const wire::PayloadRef& payload,
-                               std::vector<std::string>* keys,
-                               std::vector<Tensor>* tensors);
-
-std::string EncodeTensorList(const std::vector<Tensor>& tensors);
-Result<std::vector<Tensor>> DecodeTensorList(const std::string& payload);
-
-// name -> tensor maps (VarSnapshot/VarRestore payloads).
-std::string EncodeNamedTensors(const std::map<std::string, Tensor>& vars);
-Result<std::map<std::string, Tensor>> DecodeNamedTensors(
-    const std::string& payload);
 
 }  // namespace tfhpc::distrib

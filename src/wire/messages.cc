@@ -34,8 +34,11 @@ namespace {
 // The TensorProto parser. The message is the `size` bytes at `head`,
 // followed by `frame`'s view when `frame` is a view payload; that view is
 // then exactly the content field's value, so field 3 must end the head.
+// `header_only` returns the checked dtype and shape as a meta tensor
+// without touching the content.
 Result<Tensor> ParseTensorMessage(const void* head, size_t size,
-                                  const PayloadRef* frame) {
+                                  const PayloadRef* frame,
+                                  bool header_only = false) {
   const bool has_view = frame != nullptr && frame->is_view();
   CodedInput in(head, size);
   DType dtype = DType::kInvalid;
@@ -116,6 +119,7 @@ Result<Tensor> ParseTensorMessage(const void* head, size_t size,
                            std::to_string(content_size) + " != expected " +
                            std::to_string(expect));
   }
+  if (header_only) return Tensor::Meta(dtype, std::move(shape));
   // True zero-copy: adopt the buffer when the view spans it exactly from the
   // start.
   if (content_is_view && frame->view_offset() == 0 &&
@@ -144,6 +148,11 @@ Result<Tensor> ParseTensor(const std::string& data) {
 
 Result<Tensor> ParseTensor(const PayloadRef& p) {
   return ParseTensorMessage(p.head().data(), p.head().size(), &p);
+}
+
+Result<Tensor> ParseTensorMeta(const std::string& data) {
+  return ParseTensorMessage(data.data(), data.size(), nullptr,
+                            /*header_only=*/true);
 }
 
 // ---- Tensor fields inside frames --------------------------------------------
@@ -209,6 +218,54 @@ Status ReadNamedTensor(CodedInput& in, std::string* name, Tensor* t) {
     }
   }
   if (name->empty()) return InvalidArgument("named tensor entry without name");
+  return Status::OK();
+}
+
+// ---- Tensor lists -----------------------------------------------------------
+
+PayloadRef AppendTensorList(std::string head, const TensorList& list) {
+  if (list.empty()) return PayloadRef(std::move(head));
+  CodedOutput co(&head);
+  for (size_t i = 0; i + 1 < list.size(); ++i) {
+    WriteNamedTensor(co, 1, list[i].first, list[i].second);
+  }
+  co.WriteString(2, list.back().first);
+  return AppendTensorField(std::move(head), 3, list.back().second);
+}
+
+Status ReadTensorList(const PayloadRef& frame, TensorList* list,
+                      const FieldReader& other) {
+  CodedInput in(frame.head());
+  list->clear();
+  bool has_last = false;
+  std::string last_name;
+  Tensor last;
+  while (!in.AtEnd()) {
+    uint32_t field;
+    WireType wt;
+    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
+    if (field == 1) {
+      auto& [name, tensor] = list->emplace_back();
+      TFHPC_RETURN_IF_ERROR(ReadNamedTensor(in, &name, &tensor));
+    } else if (field == 2) {
+      TFHPC_RETURN_IF_ERROR(in.ReadString(&last_name));
+    } else if (field == 3) {
+      TFHPC_ASSIGN_OR_RETURN(last, ReadTensorField(in, wt, &frame));
+      has_last = true;
+    } else if (other) {
+      TFHPC_RETURN_IF_ERROR(other(in, field, wt));
+    } else {
+      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
+    }
+  }
+  if (last_name.empty() == has_last) {
+    return InvalidArgument("tensor list: trailing entry needs a name and a "
+                           "tensor");
+  }
+  if (!has_last && (!list->empty() || frame.is_view())) {
+    return InvalidArgument("tensor list: no trailing entry");
+  }
+  if (has_last) list->emplace_back(std::move(last_name), std::move(last));
   return Status::OK();
 }
 
@@ -588,6 +645,131 @@ Result<RegisterStepResponse> RegisterStepResponse::Parse(
     }
   }
   return resp;
+}
+
+// ---- RunStep ----------------------------------------------------------------
+
+PayloadRef RunStepRequest::Serialize() const {
+  std::string head;
+  CodedOutput co(&head);
+  co.WriteBool(4, simulate);
+  co.WriteUInt64(5, step_handle);
+  return AppendTensorList(std::move(head), {feeds.begin(), feeds.end()});
+}
+
+Result<RunStepRequest> RunStepRequest::Parse(const PayloadRef& frame) {
+  RunStepRequest req;
+  TensorList feeds;
+  TFHPC_RETURN_IF_ERROR(ReadTensorList(
+      frame, &feeds,
+      [&](CodedInput& in, uint32_t field, WireType wt) -> Status {
+        if (field != 4 && field != 5) return in.SkipField(wt);
+        uint64_t v;
+        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
+        if (field == 4) {
+          req.simulate = v != 0;
+        } else {
+          req.step_handle = v;
+        }
+        return Status::OK();
+      }));
+  if (req.step_handle == 0) {
+    return InvalidArgument("RunStep without a step handle; register the step");
+  }
+  for (auto& [name, tensor] : feeds) {
+    req.feeds.emplace(std::move(name), std::move(tensor));
+  }
+  return req;
+}
+
+// ---- Queue, variable and rendezvous frames ----------------------------------
+
+namespace {
+
+// The tensor argument of a queue/var frame. A method that takes no tensor
+// (`tensor` null) refuses one, inline or view alike.
+Status ReadTensorArg(CodedInput& in, WireType wt, const PayloadRef& payload,
+                     Tensor* tensor) {
+  if (tensor == nullptr) {
+    return InvalidArgument("unexpected tensor in payload");
+  }
+  TFHPC_ASSIGN_OR_RETURN(*tensor, ReadTensorField(in, wt, &payload));
+  return Status::OK();
+}
+
+}  // namespace
+
+PayloadRef EncodeQueuePayload(const std::string& queue, const Tensor* tensor,
+                              int64_t capacity) {
+  std::string head;
+  CodedOutput co(&head);
+  co.WriteString(1, queue);
+  if (capacity > 0) co.WriteUInt64(3, static_cast<uint64_t>(capacity));
+  if (tensor == nullptr) return PayloadRef(std::move(head));
+  return AppendTensorField(std::move(head), 2, *tensor);
+}
+
+Status DecodeQueuePayload(const PayloadRef& payload, std::string* queue,
+                          Tensor* tensor, int64_t* capacity) {
+  CodedInput in(payload.head());
+  *capacity = 0;
+  while (!in.AtEnd()) {
+    uint32_t field;
+    WireType wt;
+    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
+    if (field == 1) {
+      TFHPC_RETURN_IF_ERROR(in.ReadString(queue));
+    } else if (field == 2) {
+      TFHPC_RETURN_IF_ERROR(ReadTensorArg(in, wt, payload, tensor));
+    } else if (field == 3) {
+      uint64_t v;
+      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
+      *capacity = static_cast<int64_t>(v);
+    } else {
+      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
+    }
+  }
+  if (queue->empty()) return InvalidArgument("queue payload without name");
+  return Status::OK();
+}
+
+PayloadRef EncodeVarPayload(const std::string& var, const Tensor* tensor,
+                            bool accumulate, bool want_value) {
+  std::string head;
+  CodedOutput co(&head);
+  co.WriteString(1, var);
+  co.WriteBool(3, accumulate);
+  co.WriteBool(4, want_value);
+  if (tensor == nullptr) return PayloadRef(std::move(head));
+  return AppendTensorField(std::move(head), 2, *tensor);
+}
+
+Status DecodeVarPayload(const PayloadRef& payload, std::string* var,
+                        Tensor* tensor, bool* accumulate, bool* want_value) {
+  CodedInput in(payload.head());
+  *accumulate = false;
+  *want_value = false;
+  while (!in.AtEnd()) {
+    uint32_t field;
+    WireType wt;
+    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
+    uint64_t v = 0;
+    if (field == 1) {
+      TFHPC_RETURN_IF_ERROR(in.ReadString(var));
+    } else if (field == 2) {
+      TFHPC_RETURN_IF_ERROR(ReadTensorArg(in, wt, payload, tensor));
+    } else if (field == 3) {
+      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
+      *accumulate = v != 0;
+    } else if (field == 4) {
+      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
+      *want_value = v != 0;
+    } else {
+      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
+    }
+  }
+  if (var->empty()) return InvalidArgument("var payload without name");
+  return Status::OK();
 }
 
 // ---- RpcEnvelope --------------------------------------------------------------

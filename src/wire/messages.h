@@ -1,12 +1,13 @@
 // Message schemas serialized with the protobuf wire format (wire/coded.h):
-// tensors, graph definitions, cluster definitions and RPC envelopes. These
-// correspond to TensorFlow's TensorProto / NodeDef / GraphDef / ClusterDef
-// and the framing used by its gRPC worker service; field numbers are local
-// to tfhpc but the encoding rules are protobuf-compatible (unknown fields
-// are skipped on parse).
+// tensors, graph definitions, cluster definitions, RPC envelopes and every
+// RPC body of the worker service. These correspond to TensorFlow's
+// TensorProto / NodeDef / GraphDef / ClusterDef and the framing used by its
+// gRPC worker service; field numbers are local to tfhpc but the encoding
+// rules are protobuf-compatible (unknown fields are skipped on parse).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,6 +35,10 @@ std::string SerializeTensor(const Tensor& t);
 Result<Tensor> ParseTensor(const void* data, size_t size);
 Result<Tensor> ParseTensor(const std::string& data);
 Result<Tensor> ParseTensor(const PayloadRef& p);
+// The dtype and shape of a serialized tensor as a meta tensor. The same
+// parser and checks as ParseTensor, but the content is never copied, so
+// reading a header allocates nothing.
+Result<Tensor> ParseTensorMeta(const std::string& data);
 
 // ---- Tensor fields inside frames --------------------------------------------
 // The RPC bodies that carry tensors (queue, variable and rendezvous frames)
@@ -54,12 +59,35 @@ Result<Tensor> ReadTensorField(CodedInput& in, WireType wt,
                                const PayloadRef* frame = nullptr);
 
 // A (name = 1, tensor = 2) entry written as length-delimited field `field`:
-// the element of every name -> tensor list on the wire (RunStep feeds,
-// variable snapshots, packed rendezvous sends). The reader takes `in` just
+// the inline element of a tensor list (below). The reader takes `in` just
 // past the entry's tag and rejects an entry without a name.
 void WriteNamedTensor(CodedOutput& co, uint32_t field, const std::string& name,
                       const Tensor& t);
 Status ReadNamedTensor(CodedInput& in, std::string* name, Tensor* t);
+
+// ---- Tensor lists -----------------------------------------------------------
+// The one name -> tensor list frame: RunStep feeds and fetches, variable
+// snapshots and restores, packed rendezvous sends. Every entry but the last
+// is an inline named entry (field 1); the last is its name (field 2) and
+// its tensor (field 3, AppendTensorField), so the list's trailing tensor
+// crosses as a view. An empty list adds no field.
+using TensorList = std::vector<std::pair<std::string, Tensor>>;
+
+// Appends `list` to the frame `head` (the frame's other fields) and returns
+// the frame.
+PayloadRef AppendTensorList(std::string head, const TensorList& list);
+
+// A reader for the frame fields around a list: called with the field's tag
+// consumed, it must consume the value.
+using FieldReader =
+    std::function<Status(CodedInput& in, uint32_t field, WireType wt)>;
+
+// Reads the list entries of `frame` into `*list`. Other fields go to
+// `other`, or are skipped when it is null. Refuses an entry without a name,
+// a trailing name without its tensor or the reverse, inline entries with no
+// trailing one, and a view frame whose view holds no trailing tensor.
+Status ReadTensorList(const PayloadRef& frame, TensorList* list,
+                      const FieldReader& other = nullptr);
 
 // ---- AttrValue -------------------------------------------------------------
 // A graph-attribute value: exactly one of the members is meaningful.
@@ -146,6 +174,40 @@ struct RegisterStepResponse {
   std::string Serialize() const;
   static Result<RegisterStepResponse> Parse(const std::string& data);
 };
+
+// ---- RunStep ----------------------------------------------------------------
+// Runs a registered step: its handle, the simulate bit and the feeds as a
+// tensor list. A frame without a handle is refused: every step is
+// registered first. The response is the fetched tensors as a tensor list
+// named by the registered fetches.
+struct RunStepRequest {
+  bool simulate = false;                // field 4
+  uint64_t step_handle = 0;             // field 5
+  std::map<std::string, Tensor> feeds;  // tensor list (fields 1-3)
+
+  PayloadRef Serialize() const;
+  static Result<RunStepRequest> Parse(const PayloadRef& frame);
+};
+
+// ---- Queue, variable and rendezvous frames ----------------------------------
+// The tensor is framed last and its content rides as a buffer view
+// (AppendTensorField), so RDMA forwards the sender's buffer and MPI/gRPC
+// flatten the frame. The decoders take either representation
+// (ReadTensorField); a null `tensor` means the method takes none, and a
+// frame that carries one anyway is refused.
+//   queue (Enqueue, Dequeue, CloseQueue, RendezvousSend): name = 1,
+//     tensor = 2, capacity = 3
+//   var (VarWrite, VarRead): name = 1, tensor = 2, accumulate = 3,
+//     want_value = 4
+PayloadRef EncodeQueuePayload(const std::string& queue, const Tensor* tensor,
+                              int64_t capacity);
+Status DecodeQueuePayload(const PayloadRef& payload, std::string* queue,
+                          Tensor* tensor, int64_t* capacity);
+
+PayloadRef EncodeVarPayload(const std::string& var, const Tensor* tensor,
+                            bool accumulate, bool want_value);
+Status DecodeVarPayload(const PayloadRef& payload, std::string* var,
+                        Tensor* tensor, bool* accumulate, bool* want_value);
 
 // ---- RPC envelope ------------------------------------------------------------
 // Framing for the in-process transports: one envelope per message.

@@ -231,20 +231,24 @@ std::vector<FrameKind> TensorFrameKinds() {
        [](const wire::PayloadRef& p, Tensor* t) {
          std::string queue;
          int64_t capacity;
-         return DecodeQueuePayload(p, &queue, t, &capacity);
+         return wire::DecodeQueuePayload(p, &queue, t, &capacity);
        }},
       {"var", fields(1, "v"), 2,
        [](const wire::PayloadRef& p, Tensor* t) {
          std::string var;
          bool accumulate, want_value;
-         return DecodeVarPayload(p, &var, t, &accumulate, &want_value);
+         return wire::DecodeVarPayload(p, &var, t, &accumulate, &want_value);
        }},
-      {"packed_send", fields(2, "k"), 3,
+      // The tensor list (RunStep feeds and fetches, VarSnapshot/VarRestore,
+      // RendezvousSendPacked): its trailing tensor is the framed-last field.
+      {"tensor_list", fields(2, "k"), 3,
        [](const wire::PayloadRef& p, Tensor* t) {
-         std::vector<std::string> keys;
-         std::vector<Tensor> tensors;
-         TFHPC_RETURN_IF_ERROR(DecodePackedSendPayload(p, &keys, &tensors));
-         if (t != nullptr) *t = tensors.back();
+         wire::TensorList list;
+         TFHPC_RETURN_IF_ERROR(wire::ReadTensorList(p, &list));
+         if (list.size() != 1 || list[0].first != "k") {
+           return InvalidArgument("tensor list: wrong entries");
+         }
+         if (t != nullptr) *t = list[0].second;
          return Status::OK();
        }},
   };
@@ -342,7 +346,7 @@ TEST(FrameCodecTest, MethodsWithoutTensorRefuseOne) {
   // is refused whether it arrives as a view or inline.
   const Tensor t = Ramp(16);
   for (const FrameKind& k : TensorFrameKinds()) {
-    if (std::string(k.name) == "packed_send") continue;  // always a tensor
+    if (std::string(k.name) == "tensor_list") continue;  // always a tensor
     wire::PayloadRef frame =
         wire::AppendTensorField(k.prefix, k.tensor_field, t);
     EXPECT_EQ(k.decode(frame, nullptr).code(), Code::kInvalidArgument)
@@ -353,16 +357,61 @@ TEST(FrameCodecTest, MethodsWithoutTensorRefuseOne) {
   }
 }
 
+TEST(FrameCodecTest, TensorListCarriesItsTrailingTensorAsAView) {
+  const Tensor a = Ramp(3), b = Ramp(5), c = Ramp(300);
+  wire::PayloadRef frame =
+      wire::AppendTensorList("", {{"a", a}, {"b:1", b}, {"c", c}});
+  ASSERT_TRUE(frame.is_view());
+  for (int flat = 0; flat < 2; ++flat) {
+    if (flat == 1) frame.Detach();
+    wire::TensorList list;
+    ASSERT_TRUE(wire::ReadTensorList(frame, &list).ok());
+    ASSERT_EQ(list.size(), 3u);
+    EXPECT_EQ(list[0].first, "a");
+    EXPECT_EQ(list[1].first, "b:1");
+    EXPECT_EQ(list[2].first, "c");
+    EXPECT_TRUE(list[0].second.BitwiseEquals(a));
+    EXPECT_TRUE(list[1].second.BitwiseEquals(b));
+    EXPECT_TRUE(list[2].second.BitwiseEquals(c));
+    // Only the view frame's trailing tensor adopts the sender's buffer.
+    EXPECT_EQ(list[2].second.raw_data() == c.raw_data(), flat == 0);
+    EXPECT_NE(list[0].second.raw_data(), a.raw_data());
+  }
+  // The empty list is the empty frame.
+  wire::TensorList list;
+  ASSERT_TRUE(wire::ReadTensorList(wire::AppendTensorList("", {}), &list).ok());
+  EXPECT_TRUE(list.empty());
+}
+
+TEST(FrameCodecTest, TensorListRefusesABrokenTail) {
+  const Tensor t = Ramp(4);
+  auto refused = [](const wire::PayloadRef& frame) {
+    wire::TensorList list;
+    return wire::ReadTensorList(frame, &list).code() == Code::kInvalidArgument;
+  };
+  std::string entry;
+  wire::CodedOutput eo(&entry);
+  wire::WriteNamedTensor(eo, 1, "a", t);
+  std::string name_only;
+  wire::CodedOutput(&name_only).WriteString(2, "b");
+  // Inline entries with no trailing entry, a trailing name without its
+  // tensor, a trailing tensor without its name, a view no field reads.
+  EXPECT_TRUE(refused(wire::PayloadRef(entry)));
+  EXPECT_TRUE(refused(wire::PayloadRef(entry + name_only)));
+  EXPECT_TRUE(refused(wire::AppendTensorField(entry, 3, t)));
+  EXPECT_TRUE(refused(wire::PayloadRef::View("", t.buffer(), 0, t.bytes())));
+}
+
 TEST(FrameCodecTest, InlineDecodeCopiesContentOnlyIntoTheTensor) {
   const Tensor t = Ramp(1 << 18);  // 1 MiB of content
-  wire::PayloadRef frame = EncodeVarPayload("v", &t, true, false);
+  wire::PayloadRef frame = wire::EncodeVarPayload("v", &t, true, false);
   frame.Detach();
   std::string var;
   Tensor got;
   bool accumulate, want_value;
   largest_new_on_thread = 0;
   ASSERT_TRUE(
-      DecodeVarPayload(frame, &var, &got, &accumulate, &want_value).ok());
+      wire::DecodeVarPayload(frame, &var, &got, &accumulate, &want_value).ok());
   // No std::string of the frame or of the tensor message was built.
   EXPECT_LT(largest_new_on_thread, 4096u);
   EXPECT_TRUE(got.BitwiseEquals(t));
@@ -379,7 +428,7 @@ TEST_F(TransportTest, RdmaVarWriteDecodesToTheSendersBuffer) {
                               std::string var;
                               Tensor got;
                               bool accumulate, want_value;
-                              EXPECT_TRUE(DecodeVarPayload(req.payload, &var,
+                              EXPECT_TRUE(wire::DecodeVarPayload(req.payload, &var,
                                                            &got, &accumulate,
                                                            &want_value)
                                               .ok());
@@ -390,7 +439,7 @@ TEST_F(TransportTest, RdmaVarWriteDecodesToTheSendersBuffer) {
                   .ok());
   wire::RpcEnvelope req;
   req.method = "VarWrite";
-  req.payload = EncodeVarPayload("v", &t, false, false);
+  req.payload = wire::EncodeVarPayload("v", &t, false, false);
 
   // RDMA: the decoded tensor adopts the sender's buffer (zero copies).
   ASSERT_TRUE(router_.Call("decode:1", WireProtocol::kRdma, req).ok());
@@ -642,6 +691,123 @@ TEST_F(ServerTest, RunStepErrorsPropagateWithAddress) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kNotFound);
   EXPECT_NE(r.status().message().find("t01n02:8888"), std::string::npos);
+}
+
+TEST_F(ServerTest, RunStepRegistersItsSignatureOnce) {
+  Graph g;
+  Scope s(&g);
+  auto x = ops::Placeholder(s, DType::kF64, Shape{2}, "x");
+  auto y = ops::Neg(s, x);
+  auto client = Client("t01n02:8888");
+  ASSERT_TRUE(client.ExtendGraph(g.ToGraphDef()).ok());
+  const Tensor feed = Tensor::FromVector(std::vector<double>{1, 2});
+  for (int i = 0; i < 3; ++i) {
+    auto r = client.RunStep({{"x", feed}}, {y.name()});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_DOUBLE_EQ((*r)[0].data<double>()[1], -2.0);
+  }
+  EXPECT_EQ(w0_->steps_registered(), 1);
+  // A second handle on the same task caches its own registration.
+  ASSERT_TRUE(Client("t01n02:8888").RunStep({{"x", feed}}, {y.name()}).ok());
+  EXPECT_EQ(w0_->steps_registered(), 2);
+}
+
+TEST_F(ServerTest, RestartedWorkerNeverReissuesACachedHandle) {
+  Graph g;
+  Scope s(&g);
+  auto x = ops::Placeholder(s, DType::kF64, Shape{}, "x");
+  auto neg = ops::Neg(s, x);
+  auto twice = ops::Add(s, x, x);
+  const Tensor three = Tensor::Scalar(3.0);
+  auto a = Client("t01n02:8888");
+  ASSERT_TRUE(a.ExtendGraph(g.ToGraphDef()).ok());
+  ASSERT_TRUE(a.RunStep({{"x", three}}, {neg.name()}).ok());
+
+  // The worker restarts at the same address, and another client registers
+  // a different step there first.
+  w0_.reset();
+  auto spec = ClusterSpec::Create(TwoTaskCluster()).value();
+  w0_ = Server::Create({spec, "worker", 0, /*num_gpus=*/1}, &router_).value();
+  auto b = Client("t01n02:8888");
+  ASSERT_TRUE(b.ExtendGraph(g.ToGraphDef()).ok());
+  ASSERT_TRUE(b.RunStep({{"x", three}}, {twice.name()}).ok());
+
+  // `a`'s cached handle is unknown to the new worker, so `a` re-registers
+  // and runs its own step, not `b`'s.
+  auto r = a.RunStep({{"x", three}}, {neg.name()});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_DOUBLE_EQ((*r)[0].scalar<double>(), -3.0);
+}
+
+// Over RDMA the trailing tensor of a RunStep or VarSnapshot list crosses as
+// a view of the sender's buffer. The views must not let either side observe
+// the other's later writes.
+TEST_F(ServerTest, RdmaFetchedVariableDoesNotSeeALaterAssignAdd) {
+  Graph g;
+  Scope s(&g);
+  auto v = ops::Variable(s, "alias_v", DType::kF64, Shape{4096});
+  auto bump = ops::AssignAdd(
+      s, v, ops::Const(s, Tensor::FromVector(std::vector<double>(4096, 1.0))));
+  auto client = Client("t01n02:8888");
+  ASSERT_TRUE(client.ExtendGraph(g.ToGraphDef()).ok());
+  ASSERT_TRUE(client
+                  .VarAssign("alias_v",
+                             Tensor::FromVector(std::vector<double>(4096, 5.0)))
+                  .ok());
+  auto fetched = client.RunStep({}, {v.name()});
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  const Tensor before = (*fetched)[0];
+  EXPECT_EQ(before.buffer()->stats(), nullptr) << "detached from the device";
+
+  ASSERT_TRUE(client.RunStep({}, {}, {bump.name()}).ok());
+  EXPECT_DOUBLE_EQ(before.data<double>()[4095], 5.0);
+  auto after = client.RunStep({}, {v.name()});
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_DOUBLE_EQ((*after)[0].data<double>()[4095], 6.0);
+}
+
+TEST_F(ServerTest, RdmaVarSnapshotDoesNotSeeALaterVarWrite) {
+  auto client = Client("t01n01:8888");
+  ASSERT_TRUE(
+      client.VarAssign("a", Tensor::FromVector(std::vector<double>(8, 1.0)))
+          .ok());
+  ASSERT_TRUE(
+      client.VarAssign("b", Tensor::FromVector(std::vector<double>(4096, 2.0)))
+          .ok());
+  auto snap = client.VarSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_EQ(snap->size(), 2u);
+
+  const Tensor delta = Tensor::FromVector(std::vector<double>(4096, 1.0));
+  ASSERT_TRUE(client.VarAssignAdd("b", delta).ok());
+  ASSERT_TRUE(client.VarAssign("a", Tensor::FromVector(std::vector<double>(8)))
+                  .ok());
+  EXPECT_DOUBLE_EQ(snap->at("a").data<double>()[7], 1.0);
+  EXPECT_DOUBLE_EQ(snap->at("b").data<double>()[4095], 2.0);
+  EXPECT_DOUBLE_EQ(client.VarRead("b")->data<double>()[4095], 3.0);
+
+  // And the snapshot restores through the same list frame.
+  ASSERT_TRUE(client.VarRestore(*snap).ok());
+  EXPECT_DOUBLE_EQ(client.VarRead("b")->data<double>()[4095], 2.0);
+  EXPECT_DOUBLE_EQ(client.VarRead("a")->data<double>()[7], 1.0);
+}
+
+TEST_F(ServerTest, RdmaFeedIsNotMutatedByAnInPlaceKernel) {
+  // Neg forwards its input buffer in place when it holds the only
+  // reference. The feed arrives as a view of the client's buffer, which the
+  // client still holds, so the kernel must allocate instead.
+  Graph g;
+  Scope s(&g);
+  auto x = ops::Placeholder(s, DType::kF64, Shape{4096}, "x");
+  auto y = ops::Neg(s, x);
+  auto client = Client("t01n02:8888");
+  ASSERT_TRUE(client.ExtendGraph(g.ToGraphDef()).ok());
+  const Tensor feed = Tensor::FromVector(std::vector<double>(4096, 3.0));
+  auto r = client.RunStep({{"x", feed}}, {y.name()});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_DOUBLE_EQ((*r)[0].data<double>()[4095], -3.0);
+  EXPECT_DOUBLE_EQ(feed.data<double>()[4095], 3.0);
+  EXPECT_NE((*r)[0].raw_data(), feed.raw_data());
 }
 
 TEST_F(ServerTest, ExtendGraphEnforcesProtobufLimit) {

@@ -31,6 +31,8 @@ class WireFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WireFuzzTest, AllParsersSurviveGarbage) {
   std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) * 2654435761u);
+  const std::shared_ptr<Buffer> buffer =
+      Tensor(DType::kF32, Shape{16}).buffer();
   for (int trial = 0; trial < 300; ++trial) {
     const std::string bytes = RandomBytes(rng, 256);
     (void)wire::ParseTensor(bytes);
@@ -39,6 +41,26 @@ TEST_P(WireFuzzTest, AllParsersSurviveGarbage) {
     (void)wire::RpcEnvelope::Parse(bytes);
     (void)wire::AttrValue::Parse(bytes.data(), bytes.size());
     (void)wire::NodeDef::Parse(bytes.data(), bytes.size());
+    (void)wire::ParseTensorMeta(bytes);
+    // The RPC bodies, inline and as a view frame (the garbage is the head,
+    // a 64-byte buffer the view).
+    const wire::PayloadRef frames[] = {
+        wire::PayloadRef(bytes),
+        wire::PayloadRef::View(bytes, buffer, 0, buffer->size())};
+    for (const wire::PayloadRef& frame : frames) {
+      wire::TensorList list;
+      (void)wire::ReadTensorList(frame, &list);
+      (void)wire::RunStepRequest::Parse(frame);
+      std::string name;
+      Tensor t;
+      int64_t capacity;
+      bool accumulate, want_value;
+      (void)wire::DecodeQueuePayload(frame, &name, &t, &capacity);
+      (void)wire::DecodeVarPayload(frame, &name, &t, &accumulate,
+                                   &want_value);
+    }
+    (void)wire::RegisterStepRequest::Parse(bytes);
+    (void)wire::RegisterStepResponse::Parse(bytes);
   }
   SUCCEED();
 }
@@ -204,7 +226,7 @@ TEST(ServerFuzzTest, MalformedPayloadsErrorCleanly) {
       std::string q;
       Tensor t;
       int64_t cap;
-      if (distrib::DecodeQueuePayload(req.payload, &q, &t, &cap).ok()) {
+      if (wire::DecodeQueuePayload(req.payload, &q, &t, &cap).ok()) {
         continue;
       }
     }

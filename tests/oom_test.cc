@@ -450,6 +450,28 @@ TEST(OomExecutorTest, VariableFetchCopyUnderInjectionReturnsStatus) {
   EXPECT_DOUBLE_EQ((*r2)[0].data<double>()[511], 2.0);
 }
 
+TEST(OomExecutorTest, LargeConstCompilesWithoutGc017UnderInjection) {
+  GlobalAllocatorGuard guard;
+  LocalRuntime rt(/*num_gpus=*/0);
+  Scope s = rt.root_scope();
+  // A 64 KiB Const: type-checking it must read its header, not copy it.
+  auto c = ops::Const(s, Tensor::FromVector(std::vector<double>(8192, 1.0)),
+                      "c");
+  auto x = ops::Placeholder(s, DType::kF64, Shape{8192}, "x");
+  auto y = ops::Add(s, c, x);
+  auto sess = rt.NewSession();
+  sess->set_graph_check_mode(GraphCheckMode::kStrict);
+
+  AllocFaultSpec spec;
+  spec.every_nth = 1;
+  AllocFaultInjector::Global().Install(spec);
+  auto exe = sess->Prepare({"x"}, {y.name()});
+  AllocFaultInjector::Global().Disarm();
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  EXPECT_GT((*exe)->static_peak_bytes(), 0)
+      << "the graph checked clean, so the step has a memory plan";
+}
+
 // ---- taxonomy helpers and retry classification ------------------------------
 
 TEST(OomTaxonomyTest, TransientConstructorTagsAndClassifies) {
@@ -987,6 +1009,8 @@ TEST_F(OomDistTest, AppliedStepIsNotRerunWhenItsFetchCopyFails) {
 
   // The worker's allocations in this step are 64 B; only the client's
   // 64 KiB copy of the fetched `big` value is eligible, and it always fails.
+  // `big` is fetched first: a RunStep response carries its last fetch as a
+  // view the client adopts without a copy, and every other fetch inline.
   AllocFaultSpec spec;
   spec.every_nth = 1;
   spec.min_bytes = 4096;
@@ -995,7 +1019,7 @@ TEST_F(OomDistTest, AppliedStepIsNotRerunWhenItsFetchCopyFails) {
   recovery.max_step_attempts = 3;
   recovery.step_timeout_ms = 10000;
   FaultReport report;
-  auto r = (*session)->Run({}, {bump.name(), big.name()}, recovery, &report);
+  auto r = (*session)->Run({}, {big.name(), bump.name()}, recovery, &report);
   AllocFaultInjector::Global().Disarm();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kResourceExhausted)

@@ -357,15 +357,45 @@ TEST(PartitionTest, ControlSendDefMarkedAsControl) {
 // ---- RunStepRequest wire format ---------------------------------------------
 
 TEST(RunStepRequestTest, StepHandleRoundTrip) {
-  RunStepRequest req;
+  wire::RunStepRequest req;
   req.step_handle = 99;
-  auto r = RunStepRequest::Parse(req.Serialize());
+  auto r = wire::RunStepRequest::Parse(req.Serialize());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->step_handle, 99u);
-  // Legacy requests omit the field and parse to the "no handle" sentinel.
-  auto legacy = RunStepRequest::Parse(RunStepRequest{}.Serialize());
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->step_handle, 0u);
+  // Every step is registered first: a frame without a handle is refused.
+  auto unregistered =
+      wire::RunStepRequest::Parse(wire::RunStepRequest{}.Serialize());
+  EXPECT_EQ(unregistered.status().code(), Code::kInvalidArgument);
+}
+
+TEST(RunStepRequestTest, FeedsRoundTripAsATensorList) {
+  wire::RunStepRequest req;
+  req.step_handle = 7;
+  req.simulate = true;
+  req.feeds = {{"a", Tensor::Scalar(1.0)},
+               {"b:1", Tensor::FromVector(std::vector<float>{2, 3})}};
+  wire::PayloadRef frame = req.Serialize();
+  EXPECT_TRUE(frame.is_view()) << "the trailing feed rides as a view";
+  for (int flat = 0; flat < 2; ++flat) {
+    if (flat == 1) frame.Detach();
+    auto r = wire::RunStepRequest::Parse(frame);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->simulate);
+    EXPECT_EQ(r->step_handle, 7u);
+    ASSERT_EQ(r->feeds.size(), 2u);
+    EXPECT_TRUE(r->feeds.at("a").BitwiseEquals(req.feeds.at("a")));
+    EXPECT_TRUE(r->feeds.at("b:1").BitwiseEquals(req.feeds.at("b:1")));
+  }
+}
+
+TEST_F(DistSessionTest, RunStepWithoutAHandleIsRefused) {
+  wire::RpcEnvelope req;
+  req.method = "RunStep";
+  req.payload = wire::RunStepRequest{}.Serialize();
+  auto resp = router_.Call("pt-w0:1", WireProtocol::kRdma, req);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->status().code(), Code::kInvalidArgument)
+      << resp->status().ToString();
 }
 
 // ---- Compile-once distributed steps -----------------------------------------
